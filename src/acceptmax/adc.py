@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .core import (
-    Decision,
-    GenericInstance,
-    RuleRef,
-    SatisfyingSpec,
-    SolveReport,
-    ValidationError,
-)
+from .core import GenericInstance, RuleRef, SatisfyingSpec, ValidationError
 
 STATUS_QUO = "r"
 PROPOSAL = "p"
@@ -151,173 +144,13 @@ def adc_accepts(agent: AdcAgent, t: int, outcome: str, votes_p: int) -> bool:
 
 
 def adc_decisions(instance: AdcInstance) -> list:
-    """Feasible (threshold, outcome) pairs in canonical (outcome, threshold) order."""
+    """Feasible (threshold, outcome) pairs, sorted by (outcome, threshold)."""
     pairs = [
         (t, supermajority_outcome(t, instance.votes_p, instance.n))
         for t in sorted(instance.feasible_thresholds)
     ]
     pairs.sort(key=lambda p: (p[1], p[0]))
     return pairs
-
-
-def _adc_report(instance: AdcInstance, t: int) -> SolveReport:
-    outcome = supermajority_outcome(t, instance.votes_p, instance.n)
-    accepted = frozenset(
-        i
-        for i, agent in enumerate(instance.agents)
-        if adc_accepts(agent, t, outcome, instance.votes_p)
-    )
-    return SolveReport(
-        decision=Decision(rule=RuleRef(rule_id(t), outcome), outcome=outcome),
-        accepted_by=accepted,
-        acceptance_count=len(accepted),
-        acceptance_rate=Fraction(len(accepted), instance.n),
-    )
-
-
-def adc_oracle_max_count(instance: AdcInstance) -> int:
-    """Maximum acceptance count over feasible decisions, by direct tally."""
-    votes_p = instance.votes_p
-    best = 0
-    for t, outcome in adc_decisions(instance):
-        count = sum(
-            1 for agent in instance.agents if adc_accepts(agent, t, outcome, votes_p)
-        )
-        if count > best:
-            best = count
-    return best
-
-
-def canonical_threshold(instance: AdcInstance, outcome: str) -> int | None:
-    """Canonical feasible threshold implementing an outcome, if any.
-
-    Smallest feasible threshold that selects the proposal; largest feasible
-    threshold that keeps the status quo.
-    """
-    votes_p = instance.votes_p
-    candidates = [
-        t
-        for t in instance.feasible_thresholds
-        if supermajority_outcome(t, votes_p, instance.n) == outcome
-    ]
-    if not candidates:
-        return None
-    return min(candidates) if outcome == PROPOSAL else max(candidates)
-
-
-def adc_consequentialists(instance: AdcInstance) -> SolveReport:
-    """Best feasible decision when agents care only about the outcome.
-
-    Equivalent to approval voting between the two outcomes, restricted to
-    the outcomes some feasible threshold actually selects; ties keep the
-    status quo.
-    """
-    if any(a.conjunctive or a.thresholds for a in instance.agents):
-        raise ValidationError("requires consequentialist agents only")
-    backing = {
-        outcome: sum(1 for a in instance.agents if outcome in a.outcomes)
-        for outcome in OUTCOMES
-    }
-    t_r = canonical_threshold(instance, STATUS_QUO)
-    t_p = canonical_threshold(instance, PROPOSAL)
-    if t_r is None:
-        chosen = t_p
-    elif t_p is None or backing[STATUS_QUO] >= backing[PROPOSAL]:
-        chosen = t_r
-    else:
-        chosen = t_p
-    return _adc_report(instance, chosen)
-
-
-def adc_absolute_disjunctivists(instance: AdcInstance) -> SolveReport:
-    """Best feasible decision when agents are absolute disjunctivists.
-
-    For each outcome, agents already satisfied by the outcome are banked and
-    the feasible threshold selecting that outcome is chosen to win over the
-    most remaining agents; the better of the two sides wins, ties keep the
-    status quo.
-    """
-    if any(a.conjunctive or a.implementation_indifferent for a in instance.agents):
-        raise ValidationError("requires absolute-disjunctive agents only")
-    votes_p = instance.votes_p
-    sides = {}
-    for outcome in (STATUS_QUO, PROPOSAL):
-        candidates = sorted(
-            t
-            for t in instance.feasible_thresholds
-            if supermajority_outcome(t, votes_p, instance.n) == outcome
-        )
-        if not candidates:
-            continue
-        banked = {i for i, a in enumerate(instance.agents) if outcome in a.outcomes}
-        best_t, best_marginal = None, -1
-        for t in candidates:
-            marginal = sum(
-                1
-                for i, a in enumerate(instance.agents)
-                if i not in banked and t in a.thresholds
-            )
-            if marginal > best_marginal:
-                best_t, best_marginal = t, marginal
-        sides[outcome] = (len(banked) + best_marginal, best_t)
-    if STATUS_QUO not in sides:
-        chosen = sides[PROPOSAL][1]
-    elif PROPOSAL not in sides or sides[STATUS_QUO][0] >= sides[PROPOSAL][0]:
-        chosen = sides[STATUS_QUO][1]
-    else:
-        chosen = sides[PROPOSAL][1]
-    return _adc_report(instance, chosen)
-
-
-def _ii_side_counts(instance: AdcInstance, conjunctive: bool):
-    """Per-outcome acceptance counts for implementation-indifferent agents.
-
-    An agent's threshold set contributes through whether any member selects
-    the outcome on the observed profile; the implemented rule is irrelevant.
-    """
-    votes_p = instance.votes_p
-    n_r = n_p = 0
-    for a in instance.agents:
-        has_r_rule = any(t > votes_p for t in a.thresholds)
-        has_p_rule = any(t <= votes_p for t in a.thresholds)
-        if conjunctive:
-            n_r += STATUS_QUO in a.outcomes and has_r_rule
-            n_p += PROPOSAL in a.outcomes and has_p_rule
-        else:
-            n_r += STATUS_QUO in a.outcomes or has_r_rule
-            n_p += PROPOSAL in a.outcomes or has_p_rule
-    return n_r, n_p
-
-
-def _adc_ii(instance: AdcInstance, conjunctive: bool) -> SolveReport:
-    want = "conjunctive" if conjunctive else "disjunctive"
-    if any(
-        not a.implementation_indifferent or a.conjunctive != conjunctive
-        for a in instance.agents
-    ):
-        raise ValidationError(
-            f"requires implementation-indifferent {want} agents only"
-        )
-    n_r, n_p = _ii_side_counts(instance, conjunctive)
-    t_r = canonical_threshold(instance, STATUS_QUO)
-    t_p = canonical_threshold(instance, PROPOSAL)
-    if t_r is None:
-        chosen = t_p
-    elif t_p is None or n_r >= n_p:
-        chosen = t_r
-    else:
-        chosen = t_p
-    return _adc_report(instance, chosen)
-
-
-def adc_ii_disjunctivists(instance: AdcInstance) -> SolveReport:
-    """Best feasible decision for implementation-indifferent disjunctivists."""
-    return _adc_ii(instance, conjunctive=False)
-
-
-def adc_ii_conjunctivists(instance: AdcInstance) -> SolveReport:
-    """Best feasible decision for implementation-indifferent conjunctivists."""
-    return _adc_ii(instance, conjunctive=True)
 
 
 @lru_cache(maxsize=None)
@@ -329,11 +162,13 @@ def _rule_universe(n: int, votes_p: int) -> tuple:
 
 
 def adc_to_generic(instance: AdcInstance) -> GenericInstance:
-    """Bridge to the generic model so the generic solvers apply unchanged.
+    """Bridge to the generic model, where ``core.max_accept`` solves it.
 
     The rule universe covers every threshold an agent may reference,
     including sub-majority ones; only the instance's feasible family
-    members are feasible rules.
+    members are feasible rules. The declared orders set the tie-break:
+    the status quo before the proposal, then thresholds in ascending
+    numeric order.
     """
     n = instance.n
     agents = tuple(
@@ -347,7 +182,7 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
         for i, a in enumerate(instance.agents)
     )
     return GenericInstance(
-        outcomes=OUTCOMES,
+        outcomes=(STATUS_QUO, PROPOSAL),
         rules=_rule_universe(n, instance.votes_p),
         feasible_outcomes=frozenset(OUTCOMES),
         feasible_rule_ids=frozenset(rule_id(t) for t in instance.feasible_thresholds),

@@ -55,14 +55,13 @@ class InstanceClass:
     id: str
     agent_kind: str  # any | conseq | abs_disj | abs_conj | ii_disj | ii_conj
     needs_k: bool = False
-    uses_vote: bool = False  # predicate reads the agent's own vote
 
 
 CLASSES = {
     c.id: c
     for c in (
         InstanceClass("any-none", "any"),
-        InstanceClass("abs-conj-consistent", "abs_conj", uses_vote=True),
+        InstanceClass("abs-conj-consistent", "abs_conj"),
         InstanceClass("abs-conj-realizable", "abs_conj"),
         InstanceClass("abs-disj-r1", "abs_disj"),
         InstanceClass("abs-disj-k", "abs_disj", needs_k=True),
@@ -73,7 +72,7 @@ CLASSES = {
         InstanceClass("ii-disj-last", "ii_disj"),
         # Not table rows proper, but verified the same way.
         InstanceClass("conseq-y1", "conseq"),
-        InstanceClass("conseq-consistent", "conseq", uses_vote=True),
+        InstanceClass("conseq-consistent", "conseq"),
     )
 }
 

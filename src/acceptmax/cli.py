@@ -16,77 +16,19 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 
-_GENERIC_SELECTORS = {
-    "generic": core.max_accept_all_types,
-    "abs-proc": core.max_accept_absolute_proceduralists,
-    "abs-conj": core.max_accept_absolute_conjunctivists,
-    "conseq-generic": core.max_accept_consequentialists,
-}
-
-_ADC_SELECTORS = {
-    "adc-consequentialist": adc.adc_consequentialists,
-    "adc-abs-disj": adc.adc_absolute_disjunctivists,
-    "adc-ii-disj": adc.adc_ii_disjunctivists,
-    "adc-ii-conj": adc.adc_ii_conjunctivists,
-}
-
-SELECTORS = ["auto", "oracle"] + sorted(_GENERIC_SELECTORS) + sorted(_ADC_SELECTORS)
-
-
-def _auto_adc(instance: adc.AdcInstance):
-    agents = instance.agents
-    if all(not a.conjunctive and not a.thresholds for a in agents):
-        return adc.adc_consequentialists(instance)
-    if all(not a.conjunctive and not a.implementation_indifferent for a in agents):
-        return adc.adc_absolute_disjunctivists(instance)
-    if all(not a.conjunctive and a.implementation_indifferent for a in agents):
-        return adc.adc_ii_disjunctivists(instance)
-    if all(a.conjunctive and a.implementation_indifferent for a in agents):
-        return adc.adc_ii_conjunctivists(instance)
-    if all(a.conjunctive and not a.implementation_indifferent for a in agents):
-        return core.max_accept_absolute_conjunctivists(adc.adc_to_generic(instance))
-    return core.max_accept_all_types(adc.adc_to_generic(instance))
-
-
-def _auto_generic(instance: core.GenericInstance):
-    agents = instance.agents
-    if all(not a.conjunctive and not a.rule_ids for a in agents):
-        return core.max_accept_consequentialists(instance)
-    if all(a.is_absolute_disjunctive() and not a.outcomes for a in agents):
-        return core.max_accept_absolute_proceduralists(instance)
-    if all(a.is_absolute_disjunctive() for a in agents):
-        return core.max_accept_absolute_disjunctivists(instance)
-    if all(a.conjunctive and not a.implementation_indifferent for a in agents):
-        return core.max_accept_absolute_conjunctivists(instance)
-    return core.max_accept_all_types(instance)
-
 
 def cmd_solve(args) -> int:
     instance = serialize.load_instance(args.path)
     if isinstance(instance, amendment.AmendmentInstance):
         raise serialize.ParseError("solve expects an adc or generic instance")
-    is_adc = isinstance(instance, adc.AdcInstance)
-    selector = args.mechanism
-    if selector in _ADC_SELECTORS:
-        if not is_adc:
-            raise core.ValidationError(f"selector {selector!r} requires an adc instance")
-        result = _ADC_SELECTORS[selector](instance)
+    adc_n = instance.n if isinstance(instance, adc.AdcInstance) else None
+    generic = adc.adc_to_generic(instance) if adc_n is not None else instance
+    if args.mechanism == "oracle":
+        payload = serialize.oracle_result_to_dict(
+            core.oracle_max_accept(generic), generic.n, adc_n
+        )
     else:
-        generic = adc.adc_to_generic(instance) if is_adc else instance
-        if selector == "oracle":
-            oracle = core.oracle_max_accept(generic)
-            payload = serialize.oracle_result_to_dict(
-                oracle, generic.n, instance.n if is_adc else None
-            )
-            print(serialize.dumps(payload))
-            return EXIT_OK
-        if selector == "auto":
-            result = _auto_adc(instance) if is_adc else _auto_generic(instance)
-        else:
-            result = _GENERIC_SELECTORS[selector](generic)
-    payload = serialize.solve_report_to_dict(
-        result, len(instance.agents), instance.n if is_adc else None
-    )
+        payload = serialize.solve_report_to_dict(core.max_accept(generic), generic.n, adc_n)
     print(serialize.dumps(payload))
     return EXIT_OK
 
@@ -166,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="acceptmax",
         description="Acceptance-maximizing collective decisions over rules and outcomes.",
     )
-    parser.add_argument("--format", choices=["json"], default="json")
     parser.add_argument(
         "--threads", type=int, default=os.cpu_count() or 1,
         help="worker processes for exhaustive sweeps (output is identical for any value)",
@@ -175,7 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("path")
-    p_solve.add_argument("--mechanism", choices=SELECTORS, default="auto")
+    p_solve.add_argument(
+        "--mechanism", choices=["auto", "oracle"], default="auto",
+        help="auto: the one-pass tally; oracle: brute force plus the full tally",
+    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_amend = sub.add_parser("amend", help="run the amendment process on an instance file")

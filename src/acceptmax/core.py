@@ -14,7 +14,6 @@ concurrently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,11 +44,6 @@ class Decision:
                 f"decision outcome {self.outcome!r} does not match "
                 f"rule {self.rule.id!r} value {self.rule.value_at_profile!r}"
             )
-
-    @property
-    def sort_key(self):
-        # Deterministic tie-break order: outcome first, then rule id.
-        return (self.outcome, self.rule.id)
 
 
 @dataclass(frozen=True)
@@ -89,8 +83,8 @@ class GenericInstance:
         outcome_universe = set(self.outcomes)
         if len(outcome_universe) != len(self.outcomes):
             raise ValidationError("duplicate outcome ids")
-        rule_ids = [r.id for r in self.rules]
-        if len(set(rule_ids)) != len(rule_ids):
+        rule_universe = {r.id for r in self.rules}
+        if len(rule_universe) != len(self.rules):
             raise ValidationError("duplicate rule ids")
         for r in self.rules:
             if r.value_at_profile not in outcome_universe:
@@ -99,12 +93,12 @@ class GenericInstance:
                 )
         if not self.feasible_outcomes <= outcome_universe:
             raise ValidationError("feasible outcomes outside the outcome universe")
-        if not self.feasible_rule_ids <= set(rule_ids):
+        if not self.feasible_rule_ids <= rule_universe:
             raise ValidationError("feasible rules outside the rule universe")
         if not self.agents:
             raise ValidationError("instance has no agents")
         for idx, agent in enumerate(self.agents):
-            if not agent.rule_ids <= set(rule_ids):
+            if not agent.rule_ids <= rule_universe:
                 raise ValidationError(f"agent {idx} references unknown rule ids")
             if not agent.outcomes <= outcome_universe:
                 raise ValidationError(f"agent {idx} references unknown outcomes")
@@ -125,15 +119,19 @@ class GenericInstance:
         return len(self.agents)
 
     def feasible_decisions(self) -> list:
-        """All feasible decisions, in canonical (outcome, rule id) order."""
-        decisions = [
-            Decision(rule=r, outcome=r.value_at_profile)
-            for r in self.rules
-            if r.id in self.feasible_rule_ids
-            and r.value_at_profile in self.feasible_outcomes
-        ]
-        decisions.sort(key=lambda d: d.sort_key)
-        return decisions
+        """All feasible decisions in tie-break order.
+
+        Outcomes come in the order ``outcomes`` declares them and, within
+        one outcome, rules in the order ``rules`` declares them. Both
+        maximizers return the first maximizing decision in this order.
+        """
+        by_outcome = {y: [] for y in self.outcomes if y in self.feasible_outcomes}
+        for r in self.rules:
+            if r.id in self.feasible_rule_ids and r.value_at_profile in by_outcome:
+                by_outcome[r.value_at_profile].append(
+                    Decision(rule=r, outcome=r.value_at_profile)
+                )
+        return [d for decisions in by_outcome.values() for d in decisions]
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,7 @@ class OracleResult:
     """Brute-force result: the best report and the count for every feasible decision."""
 
     report: SolveReport
-    tally: tuple  # ((Decision, count), ...) in canonical decision order
+    tally: tuple  # ((Decision, count), ...) in feasible_decisions() order
 
 
 def accepts(agent: SatisfyingSpec, decision: Decision, instance: GenericInstance) -> bool:
@@ -209,11 +207,38 @@ def substitute_absolute_disjunctivist(
     )
 
 
+def max_accept(instance: GenericInstance) -> SolveReport:
+    """Best feasible decision for any mix of agent types.
+
+    Each agent is replaced by the absolute disjunctivist (Y', R') that
+    accepts the same decisions, so a decision (r, y) is accepted by
+    |{i : y in Y'_i}| + |{i : y not in Y'_i, r in R'_i}| agents. Both terms
+    are tallied in one pass over the agents. Ties go to the first
+    maximizer in ``feasible_decisions()`` order, as in the oracle.
+    """
+    values = instance.rule_value
+    outcome_count = dict.fromkeys(instance.outcomes, 0)
+    rule_count = dict.fromkeys(values, 0)
+    for agent in instance.agents:
+        sub = substitute_absolute_disjunctivist(agent, instance)
+        for y in sub.outcomes:
+            outcome_count[y] += 1
+        for rid in sub.rule_ids:
+            if values[rid] not in sub.outcomes:
+                rule_count[rid] += 1
+    best, best_count = None, -1
+    for decision in instance.feasible_decisions():
+        count = outcome_count[decision.outcome] + rule_count[decision.rule.id]
+        if count > best_count:
+            best, best_count = decision, count
+    return make_report(instance, best)
+
+
 def oracle_max_accept(instance: GenericInstance) -> OracleResult:
     """Enumerate every feasible decision and tally acceptance for each.
 
-    The definitional solver the specialized routines are checked against.
-    Ties break toward the canonically smallest (outcome, rule id) decision.
+    The definitional solver ``max_accept`` is checked against. Ties break
+    toward the first maximizer in ``feasible_decisions()`` order.
     """
     decisions = instance.feasible_decisions()
     if not decisions:
@@ -228,140 +253,3 @@ def oracle_max_accept(instance: GenericInstance) -> OracleResult:
         if best is None or count > best[1]:
             best = (decision, count)
     return OracleResult(report=make_report(instance, best[0]), tally=tuple(tally))
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
-
-
-def max_accept_absolute_disjunctivists(instance: GenericInstance) -> SolveReport:
-    """Best feasible decision when every agent is absolute-disjunctive.
-
-    For each feasible outcome, counts the agents satisfied by the outcome
-    alone, then picks the feasible rule realizing it that wins over the
-    most of the remaining agents.
-    """
-    _require(
-        all(a.is_absolute_disjunctive() for a in instance.agents),
-        "requires absolute-disjunctive agents only",
-    )
-    best = None  # (count, outcome, rule_id, RuleRef)
-    for a in sorted(instance.feasible_outcomes):
-        rules_a = sorted(
-            (
-                r
-                for r in instance.rules
-                if r.id in instance.feasible_rule_ids and r.value_at_profile == a
-            ),
-            key=lambda r: r.id,
-        )
-        if not rules_a:
-            continue
-        in_outcome = {i for i, ag in enumerate(instance.agents) if a in ag.outcomes}
-        best_rule = None  # (marginal, RuleRef)
-        for r in rules_a:
-            marginal = sum(
-                1
-                for i, ag in enumerate(instance.agents)
-                if i not in in_outcome and r.id in ag.rule_ids
-            )
-            if best_rule is None or marginal > best_rule[0]:
-                best_rule = (marginal, r)
-        total = len(in_outcome) + best_rule[0]
-        key = (-total, a, best_rule[1].id)
-        if best is None or key < best[0]:
-            best = (key, best_rule[1], a)
-    if best is None:
-        raise ValidationError("no feasible decision exists")
-    return make_report(instance, Decision(rule=best[1], outcome=best[2]))
-
-
-def max_accept_all_types(instance: GenericInstance) -> SolveReport:
-    """Best feasible decision for any mix of agent types.
-
-    Replaces each agent with an equivalent absolute disjunctivist and
-    defers to the specialized solver; the returned report is computed
-    against the original agents (the counts coincide).
-    """
-    substituted = GenericInstance(
-        outcomes=instance.outcomes,
-        rules=instance.rules,
-        feasible_outcomes=instance.feasible_outcomes,
-        feasible_rule_ids=instance.feasible_rule_ids,
-        agents=tuple(
-            substitute_absolute_disjunctivist(a, instance) for a in instance.agents
-        ),
-    )
-    chosen = max_accept_absolute_disjunctivists(substituted).decision
-    return make_report(instance, chosen)
-
-
-def max_accept_consequentialists(instance: GenericInstance) -> SolveReport:
-    """Approval voting over the feasible outcomes realized by some feasible rule."""
-    _require(
-        all(
-            not a.conjunctive and not a.rule_ids for a in instance.agents
-        ),
-        "requires consequentialist agents only (disjunctive, empty rule sets)",
-    )
-    decisions = instance.feasible_decisions()
-    realizable = sorted({d.outcome for d in decisions})
-    scores = {
-        a: sum(1 for ag in instance.agents if a in ag.outcomes) for a in realizable
-    }
-    top = max(scores.values())
-    if top == 0:
-        # No agent's acceptable outcome is realizable; any feasible decision
-        # does equally badly, so return the canonical first one.
-        return make_report(instance, decisions[0])
-    best_outcome = min(a for a in realizable if scores[a] == top)
-    chosen = next(d for d in decisions if d.outcome == best_outcome)
-    return make_report(instance, chosen)
-
-
-def max_accept_absolute_proceduralists(instance: GenericInstance) -> SolveReport:
-    """Best feasible decision when agents care only about the rule used."""
-    _require(
-        all(
-            a.is_absolute_disjunctive() and not a.outcomes for a in instance.agents
-        ),
-        "requires absolute-proceduralist agents only (disjunctive, empty outcome sets)",
-    )
-    decisions = instance.feasible_decisions()
-    mentioned = set().union(*(a.rule_ids for a in instance.agents))
-    candidates = [d for d in decisions if d.rule.id in mentioned] or decisions
-    return _best_by_rule_membership(
-        instance, candidates, [a.rule_ids for a in instance.agents]
-    )
-
-
-def max_accept_absolute_conjunctivists(instance: GenericInstance) -> SolveReport:
-    """Best feasible decision when every agent is absolute-conjunctive.
-
-    Each agent's rule set is filtered to the rules realizing an outcome the
-    agent finds acceptable, after which rule membership alone decides.
-    """
-    _require(
-        all(
-            a.conjunctive and not a.implementation_indifferent for a in instance.agents
-        ),
-        "requires absolute-conjunctive agents only",
-    )
-    values = instance.rule_value
-    filtered = [
-        frozenset(rid for rid in a.rule_ids if values[rid] in a.outcomes)
-        for a in instance.agents
-    ]
-    return _best_by_rule_membership(instance, instance.feasible_decisions(), filtered)
-
-
-def _best_by_rule_membership(instance, decisions, rule_sets):
-    best = None
-    for d in decisions:
-        count = sum(1 for rs in rule_sets if d.rule.id in rs)
-        if best is None or count > best[1]:
-            best = (d, count)
-    if best is None:
-        raise ValidationError("no feasible decision exists")
-    return make_report(instance, best[0])

@@ -1,4 +1,4 @@
-"""Binary-choice mechanisms: threshold arithmetic and oracle equivalence."""
+"""Binary-choice instances: threshold arithmetic, validation, worked examples, the bridge."""
 
 import random
 from fractions import Fraction
@@ -12,11 +12,8 @@ from acceptmax.adc import (
     STATUS_QUO,
     AdcAgent,
     AdcInstance,
-    adc_absolute_disjunctivists,
-    adc_consequentialists,
-    adc_ii_conjunctivists,
-    adc_ii_disjunctivists,
-    adc_oracle_max_count,
+    adc_accepts,
+    adc_decisions,
     adc_to_generic,
     delta_of,
     majority_threshold,
@@ -24,13 +21,29 @@ from acceptmax.adc import (
     threshold_family,
     threshold_of,
 )
-from acceptmax.core import ValidationError, oracle_max_accept
+from acceptmax.core import ValidationError, max_accept, oracle_max_accept
 
 from conftest import random_adc_instance
 
 
 def agent(R=(), Y=(), conjunctive=False, ii=False):
     return AdcAgent(frozenset(R), frozenset(Y), conjunctive, ii)
+
+
+def solve(inst):
+    return max_accept(adc_to_generic(inst))
+
+
+def oracle_count(inst):
+    return oracle_max_accept(adc_to_generic(inst)).report.acceptance_count
+
+
+def threshold_oracle_count(inst):
+    """Brute force over (threshold, outcome) pairs with the binary-choice predicate."""
+    return max(
+        sum(1 for a in inst.agents if adc_accepts(a, t, y, inst.votes_p))
+        for t, y in adc_decisions(inst)
+    )
 
 
 class TestThresholds:
@@ -97,25 +110,25 @@ class TestInstanceValidation:
 class TestConsequentialists:
     def test_unanimous_p(self):
         inst = AdcInstance(("p", "p", "p"), (agent(Y={"p"}),) * 3)
-        report = adc_consequentialists(inst)
+        report = solve(inst)
         assert report.decision.outcome == PROPOSAL
         assert report.acceptance_count == 3
 
     def test_majority_p(self):
         agents = (agent(Y={"p"}), agent(Y={"p"}), agent(Y={"r"}))
-        report = adc_consequentialists(AdcInstance(("p", "p", "r"), agents))
+        report = solve(AdcInstance(("p", "p", "r"), agents))
         assert report.decision.rule.id == "t2"
         assert report.decision.outcome == PROPOSAL
         assert report.acceptance_count == 2
 
     def test_minority_p_forces_status_quo(self):
         agents = (agent(Y={"p"}), agent(Y={"r"}), agent(Y={"r"}))
-        report = adc_consequentialists(AdcInstance(("p", "r", "r"), agents))
+        report = solve(AdcInstance(("p", "r", "r"), agents))
         assert report.decision.outcome == STATUS_QUO
 
     def test_tie_keeps_status_quo(self):
         agents = (agent(Y={"p"}), agent(Y={"p"}), agent(Y={"r"}), agent(Y={"r"}))
-        report = adc_consequentialists(AdcInstance(("p", "p", "p", "r"), agents))
+        report = solve(AdcInstance(("p", "p", "p", "r"), agents))
         assert report.decision.outcome == STATUS_QUO
         assert report.acceptance_count == 2
 
@@ -123,7 +136,7 @@ class TestConsequentialists:
 class TestAbsoluteDisjunctivists:
     def test_worked_example(self):
         agents = (agent(Y={"p"}, R={2}), agent(R={3}), agent(Y={"r"}))
-        report = adc_absolute_disjunctivists(AdcInstance(("p", "p", "r"), agents))
+        report = solve(AdcInstance(("p", "p", "r"), agents))
         assert report.decision.rule.id == "t3"
         assert report.decision.outcome == STATUS_QUO
         assert report.acceptance_count == 2
@@ -132,15 +145,15 @@ class TestAbsoluteDisjunctivists:
         agents = (agent(Y={"r"}, R={3, 4}), agent(Y={"r"}, R={3}), agent(Y={"r"}),
                   agent(Y={"r"}))
         inst = AdcInstance(("p",) * 4, agents)
-        report = adc_absolute_disjunctivists(inst)
+        report = solve(inst)
         assert report.decision.outcome == PROPOSAL
         # Only rule-based acceptance is possible; t3 sits in two rule sets.
         assert report.decision.rule.id == "t3"
-        assert report.acceptance_count == 2 == adc_oracle_max_count(inst)
+        assert report.acceptance_count == 2 == oracle_count(inst)
 
     def test_all_majority_rule(self):
         agents = (agent(R={2}),) * 3
-        report = adc_absolute_disjunctivists(AdcInstance(("p", "p", "r"), agents))
+        report = solve(AdcInstance(("p", "p", "r"), agents))
         assert report.decision.rule.id == "t2"
         assert report.acceptance_count == 3
 
@@ -153,9 +166,9 @@ class TestIiDisjunctivists:
             agent(Y={"r"}, R={threshold_of(Fraction(2, 3), 3)}, ii=True),
         )
         inst = AdcInstance(("p", "p", "r"), agents)
-        report = adc_ii_disjunctivists(inst)
+        report = solve(inst)
         assert report.decision.outcome == STATUS_QUO
-        assert report.acceptance_count == 2 == adc_oracle_max_count(inst)
+        assert report.acceptance_count == 2 == oracle_count(inst)
 
     def test_everyone_accepts_both_outcomes(self):
         # One acceptable outcome plus a rule realizing the other one.
@@ -164,15 +177,15 @@ class TestIiDisjunctivists:
             agent(Y={"r"}, R={2}, ii=True),
             agent(Y={"p"}, R={3}, ii=True),
         )
-        report = adc_ii_disjunctivists(AdcInstance(("p", "p", "r"), agents))
+        report = solve(AdcInstance(("p", "p", "r"), agents))
         assert report.acceptance_count == 3
 
     def test_no_rules_degenerates_to_consequentialists(self):
         votes = ("p", "p", "r")
         agents = tuple(agent(Y={v}, ii=True) for v in votes)
-        report = adc_ii_disjunctivists(AdcInstance(votes, agents))
-        conseq = adc_consequentialists(AdcInstance(votes, agents))
-        assert report.acceptance_count == conseq.acceptance_count
+        conseq = tuple(agent(Y={v}) for v in votes)
+        report = solve(AdcInstance(votes, agents))
+        assert report == solve(AdcInstance(votes, conseq))
 
 
 class TestIiConjunctivists:
@@ -183,8 +196,8 @@ class TestIiConjunctivists:
             agent(Y={"p"}, R={2}, conjunctive=True, ii=True),
         )
         inst = AdcInstance(("p", "p", "r"), agents)
-        report = adc_ii_conjunctivists(inst)
-        assert report.acceptance_count == adc_oracle_max_count(inst) == 2
+        report = solve(inst)
+        assert report.acceptance_count == oracle_count(inst) == 2
         assert report.decision.outcome == PROPOSAL
 
     def test_both_conjuncts_required(self):
@@ -194,17 +207,9 @@ class TestIiConjunctivists:
              agent(Y={"r"}, R={2}, conjunctive=True, ii=True),  # rule realizes p only
              agent(R={3}, conjunctive=True, ii=True)),  # empty outcome set
         )
-        report = adc_ii_conjunctivists(inst)
+        report = solve(inst)
         assert report.decision.outcome == STATUS_QUO
         assert report.accepted_by == {0}
-
-    def test_type_preconditions(self):
-        inst = AdcInstance(("p", "r"), (agent(Y={"p"}), agent(Y={"r"})))
-        for mech in (adc_ii_disjunctivists, adc_ii_conjunctivists,
-                     adc_absolute_disjunctivists):
-            with pytest.raises(ValidationError):
-                mech(AdcInstance(("p", "r"), (agent(Y={"p"}, conjunctive=True),) * 2))
-        assert adc_consequentialists(inst).acceptance_count >= 1
 
 
 class TestBridge:
@@ -224,30 +229,19 @@ class TestBridge:
         assert "t1" in generic.rule_value and "t1" not in generic.feasible_rule_ids
 
 
-# ---------------------------------------------------------------------------
-# Randomized oracle equivalence (the exhaustive version lives in the
-# acceptance suite).
-
-MECHANISMS = {
-    "conseq": adc_consequentialists,
-    "abs_disj": adc_absolute_disjunctivists,
-    "ii_disj": adc_ii_disjunctivists,
-    "ii_conj": adc_ii_conjunctivists,
-}
+KINDS = ["conseq", "abs_disj", "abs_conj", "ii_disj", "ii_conj"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**9),
     st.integers(min_value=2, max_value=7),
-    st.sampled_from(sorted(MECHANISMS)),
+    st.sampled_from(KINDS),
 )
 def test_mechanism_count_equals_oracle(seed, n, kind):
     inst = random_adc_instance(random.Random(seed), n, kind)
-    report = MECHANISMS[kind](inst)
-    fast = adc_oracle_max_count(inst)
-    slow = oracle_max_accept(adc_to_generic(inst)).report.acceptance_count
-    assert report.acceptance_count == fast == slow
+    report = solve(inst)
+    assert report.acceptance_count == threshold_oracle_count(inst) == oracle_count(inst)
     t = int(report.decision.rule.id.lstrip("t"))
     assert t in inst.feasible_thresholds
     assert report.decision.outcome == supermajority_outcome(t, inst.votes_p, n)
@@ -261,6 +255,4 @@ def test_mechanism_count_equals_oracle(seed, n, kind):
 )
 def test_bridge_oracle_agrees_with_fast_oracle(seed, n, kind):
     inst = random_adc_instance(random.Random(seed), n, kind)
-    fast = adc_oracle_max_count(inst)
-    slow = oracle_max_accept(adc_to_generic(inst)).report.acceptance_count
-    assert fast == slow
+    assert threshold_oracle_count(inst) == oracle_count(inst)

@@ -13,7 +13,7 @@ from acceptmax.adc import (
     PROPOSAL,
     AdcAgent,
     AdcInstance,
-    adc_oracle_max_count,
+    adc_to_generic,
     majority_threshold,
     threshold_family,
 )
@@ -27,9 +27,17 @@ from acceptmax.bounds import (
     table1_formula,
     worst_case_rate,
 )
-from acceptmax.core import ValidationError
+from acceptmax.core import ValidationError, max_accept, oracle_max_accept
 
 from conftest import random_adc_instance
+
+
+def oracle_count(inst):
+    return oracle_max_accept(adc_to_generic(inst)).report.acceptance_count
+
+
+def best_count(inst):
+    return max_accept(adc_to_generic(inst)).acceptance_count
 
 
 class TestFormula:
@@ -117,7 +125,7 @@ def full_space_min(class_id, n, k=None):
         if any(not opts for opts in per_agent):
             continue
         for agents in itertools.product(*per_agent):
-            count = adc_oracle_max_count(AdcInstance(votes, agents, feasible))
+            count = oracle_count(AdcInstance(votes, agents, feasible))
             if best is None or count < best:
                 best = count
     return best
@@ -141,7 +149,7 @@ class TestExhaustive:
     def test_abs_conj_consistent_has_zero_witness(self):
         report = worst_case_rate("abs-conj-consistent", 3, mode="exhaustive")
         assert report.observed_min_rate == 0 and report.match
-        assert adc_oracle_max_count(report.witness) == 0
+        assert oracle_count(report.witness) == 0
         for agent, vote in zip(report.witness.agents, report.witness.votes):
             assert vote in agent.outcomes and agent.thresholds
 
@@ -156,7 +164,7 @@ class TestExhaustive:
     def test_witness_achieves_observed_minimum(self):
         report = worst_case_rate("ii-conj-realizable", 3, mode="exhaustive")
         assert report.match
-        observed = Fraction(adc_oracle_max_count(report.witness), 3)
+        observed = Fraction(oracle_count(report.witness), 3)
         assert observed == report.observed_min_rate
 
     def test_k_row_pigeonhole_witness(self):
@@ -217,7 +225,7 @@ class TestMajorityMechanism:
 def test_enlarging_satisfying_sets_never_hurts(seed, n, kind):
     rng = random.Random(seed)
     inst = random_adc_instance(rng, n, kind)
-    base = adc_oracle_max_count(inst)
+    base = best_count(inst)
     i = rng.randrange(n)
     a = inst.agents[i]
     pool = range(1, n + 1) if a.implementation_indifferent else threshold_family(n)
@@ -232,4 +240,4 @@ def test_enlarging_satisfying_sets_never_hurts(seed, n, kind):
         inst.agents[:i] + (bigger,) + inst.agents[i + 1:],
         inst.feasible_thresholds,
     )
-    assert adc_oracle_max_count(grown) >= base
+    assert best_count(grown) >= base

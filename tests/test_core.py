@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acceptmax.adc import adc_to_generic
 from acceptmax.core import (
     Decision,
     GenericInstance,
@@ -13,16 +14,12 @@ from acceptmax.core import (
     ValidationError,
     accepts,
     make_report,
-    max_accept_absolute_conjunctivists,
-    max_accept_absolute_disjunctivists,
-    max_accept_absolute_proceduralists,
-    max_accept_all_types,
-    max_accept_consequentialists,
+    max_accept,
     oracle_max_accept,
     substitute_absolute_disjunctivist,
 )
 
-from conftest import random_generic_instance
+from conftest import random_adc_instance, random_generic_instance
 
 
 def make_instance(agents, rules=None, outcomes=("A", "B", "C")):
@@ -81,7 +78,12 @@ class TestModel:
     def test_feasible_decisions_canonical_order(self):
         inst = make_instance([spec()])
         keys = [(d.outcome, d.rule.id) for d in inst.feasible_decisions()]
-        assert keys == sorted(keys) == [("A", "r1"), ("A", "r3"), ("B", "r2")]
+        assert keys == [("A", "r1"), ("A", "r3"), ("B", "r2")]
+        # Declared order, not string order: outcomes first, then rules.
+        rules = (RuleRef("r10", "B"), RuleRef("r9", "A"), RuleRef("r2", "B"))
+        inst = make_instance([spec()], rules=rules, outcomes=("B", "A"))
+        keys = [(d.outcome, d.rule.id) for d in inst.feasible_decisions()]
+        assert keys == [("B", "r10"), ("B", "r2"), ("A", "r9")]
 
 
 class TestAccepts:
@@ -123,8 +125,8 @@ class TestOracle:
         assert result.report.acceptance_count == 2
         tally = {(d.rule.id, d.outcome): c for d, c in result.tally}
         assert tally == {("r1", "A"): 2, ("r2", "B"): 2, ("r3", "A"): 1}
-        # Deterministic tie-break: smallest (outcome, rule id) maximizer.
-        assert result.report.decision.sort_key == ("A", "r1")
+        # Tie-break: first maximizer in feasible_decisions() order.
+        assert result.report.decision.rule.id == "r1"
 
     def test_single_agent_single_rule(self):
         rules = (RuleRef("r1", "A"),)
@@ -166,13 +168,22 @@ class TestSubstitution:
 class TestMechanisms:
     def test_all_disjunctive_matches_oracle_example(self):
         inst = make_instance(THREE_AGENTS)
-        report = max_accept_absolute_disjunctivists(inst)
+        report = max_accept(inst)
         assert report.acceptance_count == 2
-        assert report.decision.sort_key == ("A", "r1")
+        assert report.decision.rule.id == "r1"
+        assert report == oracle_max_accept(inst).report
 
     def test_all_types_identity_on_disjunctivists(self):
-        inst = make_instance(THREE_AGENTS)
-        assert max_accept_all_types(inst) == max_accept_absolute_disjunctivists(inst)
+        agents = (
+            spec(R={"r2"}, Y={"A"}, ii=True),
+            spec(R={"r1", "r2"}, Y={"B"}, conjunctive=True),
+            spec(Y={"B"}),
+        )
+        inst = make_instance(agents)
+        substituted = make_instance(
+            [substitute_absolute_disjunctivist(a, inst) for a in agents]
+        )
+        assert max_accept(inst) == max_accept(substituted)
 
     def test_all_types_mixed_matches_oracle(self):
         agents = (
@@ -181,64 +192,51 @@ class TestMechanisms:
             spec(Y={"B"}),
         )
         inst = make_instance(agents)
-        report = max_accept_all_types(inst)
-        assert report.acceptance_count == oracle_max_accept(inst).report.acceptance_count
+        assert max_accept(inst) == oracle_max_accept(inst).report
 
     def test_all_ii_conjunctive_nothing_realized(self):
         agents = (spec(R={"r2"}, Y={"A"}, conjunctive=True, ii=True),) * 3
         inst = make_instance(agents)
-        assert max_accept_all_types(inst).acceptance_count == 0
+        assert max_accept(inst).acceptance_count == 0
 
     def test_consequentialists(self):
         agents = (spec(Y={"A"}), spec(Y={"A"}), spec(Y={"B"}))
-        report = max_accept_consequentialists(make_instance(agents))
+        report = max_accept(make_instance(agents))
         assert report.decision.outcome == "A" and report.acceptance_count == 2
 
     def test_consequentialists_nothing_realizable(self):
         rules = (RuleRef("r1", "A"),)
         inst = make_instance([spec(Y={"B"})], rules=rules, outcomes=("A", "B"))
-        report = max_accept_consequentialists(inst)
+        report = max_accept(inst)
         assert report.acceptance_count == 0
         assert report.decision in inst.feasible_decisions()
 
     def test_consequentialists_unanimity(self):
         inst = make_instance([spec(Y={"A"})] * 4)
-        assert max_accept_consequentialists(inst).acceptance_count == 4
+        assert max_accept(inst).acceptance_count == 4
 
     def test_proceduralists(self):
         agents = (spec(R={"r1"}), spec(R={"r1"}), spec(R={"r2"}))
-        report = max_accept_absolute_proceduralists(make_instance(agents))
+        report = max_accept(make_instance(agents))
         assert report.decision.rule.id == "r1" and report.acceptance_count == 2
 
     def test_proceduralists_all_empty(self):
         inst = make_instance([spec()] * 3)
-        assert max_accept_absolute_proceduralists(inst).acceptance_count == 0
+        assert max_accept(inst).acceptance_count == 0
 
     def test_proceduralists_single_agent_all_rules(self):
         inst = make_instance([spec(R={"r1", "r2", "r3"})])
-        assert max_accept_absolute_proceduralists(inst).acceptance_count == 1
+        assert max_accept(inst).acceptance_count == 1
 
     def test_conjunctivists(self):
         agents = (spec(R={"r1", "r2"}, Y={"B"}, conjunctive=True),) * 2
-        report = max_accept_absolute_conjunctivists(make_instance(agents))
+        report = max_accept(make_instance(agents))
         assert report.decision.rule.id == "r2" and report.acceptance_count == 2
 
     def test_conjunctivists_all_filtered_empty(self):
         agents = (spec(R={"r2"}, Y={"A"}, conjunctive=True),) * 2
         inst = make_instance(agents)
-        assert max_accept_absolute_conjunctivists(inst).acceptance_count == 0
-
-    def test_type_preconditions_enforced(self):
-        mixed = make_instance([spec(R={"r1"}, conjunctive=True)])
-        for mech in (
-            max_accept_absolute_disjunctivists,
-            max_accept_consequentialists,
-            max_accept_absolute_proceduralists,
-        ):
-            with pytest.raises(ValidationError):
-                mech(mixed)
-        with pytest.raises(ValidationError):
-            max_accept_absolute_conjunctivists(make_instance([spec(Y={"A"})]))
+        assert max_accept(inst).acceptance_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +277,16 @@ def test_disjunctive_acceptance_superset_of_conjunctive(inst):
                 assert accepts(disj, d, inst)
 
 
-@settings(max_examples=300, deadline=None)
-@given(instances)
+adc_instances = st.builds(
+    lambda seed, n, kind: adc_to_generic(random_adc_instance(random.Random(seed), n, kind)),
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=2, max_value=7),
+    st.sampled_from(["conseq", "abs_disj", "abs_conj", "ii_disj", "ii_conj"]),
+)
+
+
+@settings(max_examples=700, deadline=None)
+@given(st.one_of(instances, adc_instances))
 def test_all_types_matches_oracle(inst):
-    report = max_accept_all_types(inst)
-    oracle = oracle_max_accept(inst)
-    assert report.acceptance_count == oracle.report.acceptance_count
-    d = report.decision
-    assert d.rule.id in inst.feasible_rule_ids
-    assert d.outcome in inst.feasible_outcomes
+    # The whole report: decision (so the tie-break), accepted_by and count.
+    assert max_accept(inst) == oracle_max_accept(inst).report
