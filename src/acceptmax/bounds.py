@@ -4,17 +4,17 @@ An instance class pairs a (homogeneous) agent type with a structural
 assumption on the agents' satisfying sets, such as "each agent finds at
 least one feasible rule acceptable". The worst case is the minimum, over
 every instance in the class, of the best achievable acceptance count, as
-an exact rational of the electorate size. Small classes are exhausted;
-larger ones are probed by seeded random search, which can only confirm
-the lower bound.
+an exact rational of the electorate size. Classes are exhausted through
+``EXACT_N_MAX`` agents; larger ones are probed by seeded random search,
+which can only confirm the lower bound.
 
 Assumptions that reference acceptable outcomes are read against the
 outcomes some feasible rule actually selects on the profile at hand
 (an outcome no feasible rule can produce admits no feasible decision,
 so acceptability of it alone cannot help any mechanism).
 
-Three exact symmetry reductions keep exhaustion tractable; none of them
-changes the minimum:
+Four exact reductions keep exhaustion tractable; none of them changes
+the minimum:
  * vote vectors are enumerated up to permutation (acceptance depends on
    the profile only through the proposal's vote count and each agent's
    own vote),
@@ -22,7 +22,11 @@ changes the minimum:
    exchangeable),
  * for implementation-indifferent agents, threshold sets are enumerated
    up to which outcomes they realize on the profile (acceptance factors
-   through exactly that).
+   through exactly that),
+ * only options whose acceptance vector over the feasible decisions is
+   Pareto-minimal are kept, the first in canonical order standing for
+   each vector (swapping an agent for one that accepts a subset of its
+   decisions cannot raise any decision's count).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,7 +79,7 @@ CLASSES = {
     )
 }
 
-EXHAUSTIVE_SPACE_LIMIT = 10**7
+EXACT_N_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,11 @@ class BoundsReport:
     formula_rate: Fraction
     witness: AdcInstance | None
     match: bool
+    # Exhaustive search counters summed over vote counts (None when randomized):
+    # agent options seen, options kept after pruning, multisets visited.
+    options: int | None = None
+    kept: int | None = None
+    groups: int | None = None
 
 
 def table1_formula(class_id: str, n: int, k: int | None = None) -> Fraction:
@@ -146,17 +154,6 @@ def _ii_threshold_reps(n: int, votes_p: int):
     if 1 <= votes_p <= n - 1:
         reps.append(frozenset({votes_p, votes_p + 1}))
     return reps
-
-
-def _ii_class_multiplicity(thresholds: frozenset, n: int, votes_p: int) -> int:
-    """How many grid threshold sets realize the same outcomes as this one."""
-    a = votes_p  # grid thresholds selecting the proposal
-    b = n - votes_p
-    realizes_p = any(t <= votes_p for t in thresholds)
-    realizes_r = any(t > votes_p for t in thresholds)
-    count_p = (2**a - 1) if realizes_p else 1
-    count_r = (2**b - 1) if realizes_r else 1
-    return count_p * count_r
 
 
 def _realizable_feasible(n: int, votes_p: int, feasible) -> frozenset:
@@ -242,39 +239,11 @@ def agent_options(class_id, n, votes_p, vote, feasible=None, k=None):
     ]
 
 
-def _option_multiplicity(cls: InstanceClass, agent: AdcAgent, n: int, votes_p: int) -> int:
-    if agent.implementation_indifferent and cls.agent_kind != "conseq":
-        return _ii_class_multiplicity(agent.thresholds, n, votes_p)
-    return 1
-
-
-def class_space_size(class_id: str, n: int, k: int | None = None) -> int:
-    """Number of class instances over all vote vectors, without reductions."""
-    cls = CLASSES[class_id]
-    total = 0
-    for votes_p in range(n + 1):
-        counts = {}
-        for vote in OUTCOMES:
-            counts[vote] = sum(
-                _option_multiplicity(cls, a, n, votes_p)
-                for a in agent_options(class_id, n, votes_p, vote, k=k)
-            )
-        if (votes_p > 0 and counts[PROPOSAL] == 0) or (
-            votes_p < n and counts[STATUS_QUO] == 0
-        ):
-            continue
-        total += (
-            math.comb(n, votes_p)
-            * counts[PROPOSAL] ** votes_p
-            * counts[STATUS_QUO] ** (n - votes_p)
-        )
-    return total
-
-
 def enumerate_instances(class_id: str, n: int, k: int | None = None):
-    """Deterministic stream of class instances (up to the module's reductions).
+    """Deterministic stream of class instances, without the sweep's reductions.
 
-    Vote vectors are full; agent options are the canonical representatives.
+    Vote vectors are full and agents are ordered; only implementation-
+    indifferent threshold sets are reduced to their representatives.
     """
     feasible = frozenset(threshold_family(n))
     for votes in itertools.product(OUTCOMES, repeat=n):
@@ -296,25 +265,47 @@ def _decision_bits(agent: AdcAgent, decisions, votes_p):
     return tuple(int(adc_accepts(agent, t, y, votes_p)) for t, y in decisions)
 
 
+def _pareto_minimal(bit_options):
+    """The options whose acceptance vector no other option's lies below.
+
+    Options with equal vectors are represented by the first in canonical order.
+    """
+    firsts = {}
+    for bits, agent in bit_options:
+        firsts.setdefault(bits, agent)
+    return [
+        (bits, agent)
+        for bits, agent in firsts.items()
+        if not any(
+            other != bits and all(o <= b for o, b in zip(other, bits))
+            for other in firsts
+        )
+    ]
+
+
 def _sweep_one_vote_count(class_id, n, votes_p, k):
     """Exact minimum best-count over class instances with this vote count.
 
-    Returns (min_count, witness AdcInstance) or None when the class admits
-    no instance on such profiles.
+    Returns ``(result, (options, kept, groups))``: ``result`` is
+    ``(min_count, witness AdcInstance)``, or None when the class admits no
+    instance on such profiles; the counters are the agent options listed,
+    those kept after pruning, and the multisets visited.
     """
     feasible = frozenset(threshold_family(n))
     opts_p = agent_options(class_id, n, votes_p, PROPOSAL, feasible, k)
     opts_r = agent_options(class_id, n, votes_p, STATUS_QUO, feasible, k)
-    if (votes_p > 0 and not opts_p) or (votes_p < n and not opts_r):
-        return None
     decisions = sorted(
         ((t, supermajority_outcome(t, votes_p, n)) for t in feasible),
         key=lambda d: (d[1], d[0]),
     )
-    bits_p = [(_decision_bits(a, decisions, votes_p), a) for a in opts_p]
-    bits_r = [(_decision_bits(a, decisions, votes_p), a) for a in opts_r]
+    bits_p = _pareto_minimal((_decision_bits(a, decisions, votes_p), a) for a in opts_p)
+    bits_r = _pareto_minimal((_decision_bits(a, decisions, votes_p), a) for a in opts_r)
+    options, kept = len(opts_p) + len(opts_r), len(bits_p) + len(bits_r)
+    if (votes_p > 0 and not bits_p) or (votes_p < n and not bits_r):
+        return None, (options, kept, 0)
     votes = (PROPOSAL,) * votes_p + (STATUS_QUO,) * (n - votes_p)
     width = len(decisions)
+    groups = 0
     best_count, best_agents = None, None
     for group_p in itertools.combinations_with_replacement(bits_p, votes_p):
         base = [0] * width
@@ -322,6 +313,7 @@ def _sweep_one_vote_count(class_id, n, votes_p, k):
             for j in range(width):
                 base[j] += bits[j]
         for group_r in itertools.combinations_with_replacement(bits_r, n - votes_p):
+            groups += 1
             totals = list(base)
             for bits, _ in group_r:
                 for j in range(width):
@@ -333,32 +325,28 @@ def _sweep_one_vote_count(class_id, n, votes_p, k):
                     a for _, a in group_r
                 )
                 if best_count == 0:
-                    return 0, AdcInstance(votes, best_agents, feasible)
+                    break
+        if best_count == 0:
+            break
+    counters = (options, kept, groups)
     if best_count is None:
-        return None
-    return best_count, AdcInstance(votes, best_agents, feasible)
+        return None, counters
+    return (best_count, AdcInstance(votes, best_agents, feasible)), counters
 
 
-def _sweep_task(args):
-    return args[2], _sweep_one_vote_count(*args)
-
-
-def _min_rate_exhaustive(class_id, n, k, workers=1):
-    tasks = [(class_id, n, votes_p, k) for votes_p in range(n + 1)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_sweep_task, tasks))
-    else:
-        results = dict(_sweep_task(t) for t in tasks)
+def _min_rate_exhaustive(class_id, n, k):
+    """(min rate, witness, summed (options, kept, groups)) over all vote counts."""
     best_rate, witness = None, None
+    totals = [0, 0, 0]
     for votes_p in range(n + 1):
-        res = results[votes_p]
+        res, counters = _sweep_one_vote_count(class_id, n, votes_p, k)
+        totals = [a + b for a, b in zip(totals, counters)]
         if res is None:
             continue
         rate = Fraction(res[0], n)
         if best_rate is None or rate < best_rate:
             best_rate, witness = rate, res[1]
-    return best_rate, witness
+    return best_rate, witness, tuple(totals)
 
 
 def _instance_best_count(instance: AdcInstance) -> int:
@@ -408,17 +396,17 @@ def worst_case_rate(
     seed: int = 0,
     samples: int = 100_000,
     k: int | None = None,
-    workers: int = 1,
 ) -> BoundsReport:
     """Minimize the best achievable acceptance rate over an instance class."""
     if class_id not in CLASSES:
         raise ValidationError(f"unknown class {class_id!r}")
     formula = table1_formula(class_id, n, k)
     if mode == "exhaustive":
-        observed, witness = _min_rate_exhaustive(class_id, n, k, workers)
+        observed, witness, counters = _min_rate_exhaustive(class_id, n, k)
         match = observed is None or observed == formula
         return BoundsReport(
-            class_id, n, k, "exhaustive", None, None, observed, formula, witness, match
+            class_id, n, k, "exhaustive", None, None, observed, formula, witness, match,
+            *counters,
         )
     if mode == "randomized":
         observed, witness = _min_rate_randomized(class_id, n, k, seed, samples)
@@ -429,13 +417,9 @@ def worst_case_rate(
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def pick_mode(class_id: str, n: int, k: int | None = None) -> str:
-    """Exhaust small sizes; fall back to random search when the space explodes."""
-    if n <= 4:
-        return "exhaustive"
-    if n == 5 and class_space_size(class_id, n, k) < EXHAUSTIVE_SPACE_LIMIT:
-        return "exhaustive"
-    return "randomized"
+def pick_mode(n: int) -> str:
+    """Exact search through ``EXACT_N_MAX`` agents, random search above."""
+    return "exhaustive" if n <= EXACT_N_MAX else "randomized"
 
 
 def verify_row(
@@ -445,15 +429,12 @@ def verify_row(
     seed: int = 0,
     samples: int = 100_000,
     k: int | None = None,
-    workers: int = 1,
 ):
     """Worst-case search per size, compared against the closed form."""
     reports = []
     for n in n_list:
-        chosen = pick_mode(class_id, n, k) if mode == "auto" else mode
-        reports.append(
-            worst_case_rate(class_id, n, chosen, seed, samples, k, workers)
-        )
+        chosen = pick_mode(n) if mode == "auto" else mode
+        reports.append(worst_case_rate(class_id, n, chosen, seed, samples, k))
     return reports
 
 

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification mismatch, 2 input error.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 
@@ -60,7 +59,6 @@ def cmd_bounds(args) -> int:
             seed=args.seed,
             samples=args.samples,
             k=k,
-            workers=args.threads,
         )
         for report in reports:
             print(serialize.dumps(serialize.bounds_report_to_dict(report)))
@@ -103,14 +101,23 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def electorate_size(text: str) -> int:
+    """argparse type for ``--n``: worst cases and threshold families need n >= 2."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"electorate size must be at least 2, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acceptmax",
         description="Acceptance-maximizing collective decisions over rules and outcomes.",
     )
     parser.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker processes for exhaustive sweeps (output is identical for any value)",
+        "--threads", type=int, default=1,
+        help="ignored: exhaustive sweeps run in the calling process "
+        "(kept because perfbench/run.py reads it)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -129,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="verify worst-case acceptance rates")
     p_bounds.add_argument("class_id", metavar="class")
-    p_bounds.add_argument("--n", type=int, action="append", required=True)
+    p_bounds.add_argument("--n", type=electorate_size, action="append", required=True)
     p_bounds.add_argument(
         "--mode", choices=["auto", "exhaustive", "randomized"], default="auto"
     )
@@ -140,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate seeded random instances")
     p_gen.add_argument("class_id", metavar="class")
-    p_gen.add_argument("--n", type=int, action="append")
+    p_gen.add_argument("--n", type=electorate_size, action="append")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.add_argument("--k", type=int, default=None)

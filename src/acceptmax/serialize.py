@@ -32,10 +32,32 @@ _EMPTY_RULES = ("consequentialist",)
 _EMPTY_OUTCOMES = ("absolute_proceduralist", "ii_proceduralist")
 
 
+# Type checks are inline ``isinstance`` tests that call these only to build
+# the error: fields are read once per agent, so one more call per field is a
+# measurable share of parsing a large electorate.
+
+
+def _not_object(obj, where) -> ParseError:
+    return ParseError(f"{where}: expected an object, got {type(obj).__name__}")
+
+
+def _not_list(where, **fields) -> ParseError:
+    """The error for the first of ``fields`` that is not a JSON array (a string is not one)."""
+    key = next(k for k, v in fields.items() if not isinstance(v, list))
+    return ParseError(f"{where}: field {key!r} must be a list")
+
+
 def _field(obj, key, where):
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _list_field(obj, key, where):
+    value = _field(obj, key, where)
+    if not isinstance(value, list):
+        raise _not_list(where, **{key: value})
+    return value
 
 
 def _agent_flags(type_name, where):
@@ -59,18 +81,23 @@ def fraction_from_obj(obj, where) -> Fraction:
 
 def _parse_adc_agent(obj, i, n):
     where = f"agents[{i}]"
+    if not isinstance(obj, dict):
+        raise _not_object(obj, where)
     type_name = _field(obj, "type", where)
     conj, ii = _agent_flags(type_name, where)
-    outcomes = frozenset(_field(obj, "Y", where))
-    thresholds = set(obj.get("R_t", []))
-    for d in obj.get("R_delta", []):
-        thresholds.add(adc.threshold_of(fraction_from_obj(d, where), n))
+    outcomes, r_t, r_delta = _field(obj, "Y", where), obj.get("R_t", []), obj.get("R_delta", [])
+    if not (isinstance(outcomes, list) and isinstance(r_t, list) and isinstance(r_delta, list)):
+        raise _not_list(where, Y=outcomes, R_t=r_t, R_delta=r_delta)
+    outcomes = frozenset(outcomes)
+    thresholds = frozenset(r_t)
+    if r_delta:
+        thresholds |= {adc.threshold_of(fraction_from_obj(d, where), n) for d in r_delta}
     if type_name in _EMPTY_RULES and thresholds:
         raise ParseError(f"{where}: type {type_name!r} must have no rule set")
     if type_name in _EMPTY_OUTCOMES and outcomes:
         raise ParseError(f"{where}: type {type_name!r} must have no outcome set")
     return adc.AdcAgent(
-        thresholds=frozenset(thresholds),
+        thresholds=thresholds,
         outcomes=outcomes,
         conjunctive=conj,
         implementation_indifferent=ii,
@@ -84,9 +111,11 @@ def parse_adc(obj) -> adc.AdcInstance:
         raise ParseError(f"adc instance: expected {n} votes, got {len(votes)}")
     agents = tuple(
         _parse_adc_agent(a, i, n)
-        for i, a in enumerate(_field(obj, "agents", "adc instance"))
+        for i, a in enumerate(_list_field(obj, "agents", "adc instance"))
     )
     feasible = obj.get("feasible_t")
+    if not (feasible is None or isinstance(feasible, list)):
+        raise _not_list("adc instance", feasible_t=feasible)
     try:
         return adc.AdcInstance(
             votes=votes,
@@ -98,17 +127,24 @@ def parse_adc(obj) -> adc.AdcInstance:
 
 
 def parse_generic(obj) -> core.GenericInstance:
-    rules = tuple(
-        core.RuleRef(_field(r, "id", f"rules[{i}]"), _field(r, "value", f"rules[{i}]"))
-        for i, r in enumerate(_field(obj, "rules", "generic instance"))
-    )
+    rules = []
+    for i, r in enumerate(_list_field(obj, "rules", "generic instance")):
+        where = f"rules[{i}]"
+        if not isinstance(r, dict):
+            raise _not_object(r, where)
+        rules.append(core.RuleRef(_field(r, "id", where), _field(r, "value", where)))
+    rules = tuple(rules)
     agents = []
-    for i, a in enumerate(_field(obj, "agents", "generic instance")):
+    for i, a in enumerate(_list_field(obj, "agents", "generic instance")):
         where = f"agents[{i}]"
+        if not isinstance(a, dict):
+            raise _not_object(a, where)
         type_name = _field(a, "type", where)
         conj, ii = _agent_flags(type_name, where)
-        rule_ids = frozenset(a.get("R", []))
-        outcomes = frozenset(a.get("Y", []))
+        rule_ids, outcomes = a.get("R", []), a.get("Y", [])
+        if not (isinstance(rule_ids, list) and isinstance(outcomes, list)):
+            raise _not_list(where, R=rule_ids, Y=outcomes)
+        rule_ids, outcomes = frozenset(rule_ids), frozenset(outcomes)
         if type_name in _EMPTY_RULES and rule_ids:
             raise ParseError(f"{where}: type {type_name!r} must have no rule set")
         if type_name in _EMPTY_OUTCOMES and outcomes:
@@ -122,15 +158,21 @@ def parse_generic(obj) -> core.GenericInstance:
                 vote=a.get("vote"),
             )
         )
-    outcomes = tuple(_field(obj, "outcomes", "generic instance"))
+    outcomes = _list_field(obj, "outcomes", "generic instance")
+    feasible_outcomes = obj.get("feasible_outcomes", outcomes)
+    feasible_rules = obj.get("feasible_rules", [r.id for r in rules])
+    if not (isinstance(feasible_outcomes, list) and isinstance(feasible_rules, list)):
+        raise _not_list(
+            "generic instance",
+            feasible_outcomes=feasible_outcomes,
+            feasible_rules=feasible_rules,
+        )
     try:
         return core.GenericInstance(
-            outcomes=outcomes,
+            outcomes=tuple(outcomes),
             rules=rules,
-            feasible_outcomes=frozenset(obj.get("feasible_outcomes", outcomes)),
-            feasible_rule_ids=frozenset(
-                obj.get("feasible_rules", [r.id for r in rules])
-            ),
+            feasible_outcomes=frozenset(feasible_outcomes),
+            feasible_rule_ids=frozenset(feasible_rules),
             agents=tuple(agents),
         )
     except core.ValidationError as exc:
@@ -139,7 +181,7 @@ def parse_generic(obj) -> core.GenericInstance:
 
 def parse_amendment(obj) -> amendment.AmendmentInstance:
     n = _field(obj, "n", "amendment instance")
-    peaks = tuple(_field(obj, "peaks_t", "amendment instance"))
+    peaks = tuple(_list_field(obj, "peaks_t", "amendment instance"))
     if len(peaks) != n:
         raise ParseError(f"amendment instance: expected {n} peaks, got {len(peaks)}")
     try:
@@ -153,6 +195,8 @@ def parse_amendment(obj) -> amendment.AmendmentInstance:
 
 
 def parse_instance(obj):
+    if not isinstance(obj, dict):
+        raise _not_object(obj, "instance")
     kind = _field(obj, "kind", "instance")
     if kind == "adc":
         return parse_adc(obj)
@@ -300,6 +344,9 @@ def bounds_report_to_dict(report) -> dict:
         "formula_rate": rate(report.formula_rate),
         "witness": None if report.witness is None else adc_instance_to_dict(report.witness),
         "match": report.match,
+        "options": report.options,
+        "kept": report.kept,
+        "groups": report.groups,
     }
 
 

@@ -19,8 +19,8 @@ from acceptmax.adc import (
 )
 from acceptmax.bounds import (
     CLASSES,
+    EXACT_N_MAX,
     class_predicate,
-    class_space_size,
     enumerate_instances,
     majority_mechanism_count,
     pick_mode,
@@ -71,10 +71,6 @@ class TestFormula:
 
 
 class TestEnumeration:
-    def test_space_size_matches_combinatorial_count(self):
-        # 3 agents, 3 nonempty rule subsets x 4 outcome subsets each, 2^3 votes.
-        assert class_space_size("abs-disj-r1", 3) == 2**3 * 12**3
-
     def test_any_class_includes_all_empty_instance(self):
         empty = AdcAgent(frozenset(), frozenset(), False, False)
         assert any(
@@ -174,10 +170,25 @@ class TestExhaustive:
             assert report.observed_min_rate == Fraction(expected, n)
             assert report.match
 
-    def test_worker_count_does_not_change_result(self):
-        one = worst_case_rate("ii-disj-y1", 4, mode="exhaustive", workers=1)
-        two = worst_case_rate("ii-disj-y1", 4, mode="exhaustive", workers=2)
-        assert one == two
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("class_id", sorted(CLASSES))
+    def test_witness_is_a_class_instance_at_the_minimum(self, class_id, n):
+        # The witness is built from pruned representatives: it must still be a
+        # member of the class and reach exactly the reported minimum.
+        k = 2 if CLASSES[class_id].needs_k else None
+        report = worst_case_rate(class_id, n, mode="exhaustive", k=k)
+        w = report.witness
+        for agent, vote in zip(w.agents, w.votes):
+            assert class_predicate(
+                class_id, agent, n, w.votes_p, w.feasible_thresholds, vote, k
+            )
+        assert Fraction(oracle_count(w), n) == report.observed_min_rate
+
+    def test_search_counters(self):
+        report = worst_case_rate("abs-disj-r1", 5, mode="exhaustive")
+        assert (report.options, report.kept, report.groups) == (336, 36, 252)
+        sampled = worst_case_rate("abs-disj-r1", 5, mode="randomized", samples=10)
+        assert (sampled.options, sampled.kept, sampled.groups) == (None, None, None)
 
 
 class TestRandomized:
@@ -188,10 +199,9 @@ class TestRandomized:
         assert a.observed_min_rate >= a.formula_rate and a.match
 
     def test_mode_picker(self):
-        assert pick_mode("any-none", 3) == "exhaustive"
-        assert pick_mode("any-none", 6) == "randomized"
-        assert pick_mode("conseq-consistent", 5) == "exhaustive"
-        assert pick_mode("any-none", 5) == "randomized"
+        assert pick_mode(3) == "exhaustive"
+        assert pick_mode(EXACT_N_MAX) == "exhaustive"
+        assert pick_mode(EXACT_N_MAX + 1) == "randomized"
 
 
 class TestMajorityMechanism:

@@ -145,6 +145,18 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", path)
         assert code == 2
 
+    def test_non_object_agent_exits_2(self, capsys, write_json):
+        path = write_json({**ADC_CONSEQ, "agents": [1, 2, 3]})
+        code, _, err = run_cli(capsys, "solve", path)
+        assert code == 2 and "agents[0]: expected an object" in err
+
+    def test_string_in_place_of_list_exits_2(self, capsys, write_json):
+        agents = [dict(a) for a in ADC_CONSEQ["agents"]]
+        agents[0]["Y"] = "p"
+        path = write_json({**ADC_CONSEQ, "agents": agents})
+        code, _, err = run_cli(capsys, "solve", path)
+        assert code == 2 and "'Y' must be a list" in err
+
 
 class TestAmend:
     def test_iterative(self, capsys, write_json):
@@ -240,6 +252,12 @@ class TestGen:
     def test_unknown_class_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "no-such-class", "--n", "3")
         assert code == 2
+
+    def test_electorate_below_two_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "amendment", "--n", "0"])
+        assert exc.value.code == 2
+        assert "at least 2" in capsys.readouterr().err
 
 
 class TestSerializeRoundTrip:
