@@ -96,15 +96,19 @@ class AdcInstance:
                 self, "feasible_thresholds", frozenset(threshold_family(n))
             )
         family = set(threshold_family(n))
-        if not self.feasible_thresholds or not set(self.feasible_thresholds) <= family:
+        if (
+            not self.feasible_thresholds
+            or not set(self.feasible_thresholds) <= family
+            or any(type(t) is not int for t in self.feasible_thresholds)
+        ):
             raise ValidationError("feasible thresholds must be a nonempty family subset")
         if len(self.agents) != n:
             raise ValidationError("agent count must match vote count")
         for idx, agent in enumerate(self.agents):
             if not agent.outcomes <= set(OUTCOMES):
                 raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
-            if any(not 1 <= t <= n for t in agent.thresholds):
-                raise ValidationError(f"agent {idx} threshold outside [1, {n}]")
+            if any(type(t) is not int or not 1 <= t <= n for t in agent.thresholds):
+                raise ValidationError(f"agent {idx} thresholds must be integers in [1, {n}]")
             if not agent.implementation_indifferent and not agent.thresholds <= family:
                 # Sub-majority thresholds only ever matter counterfactually.
                 raise ValidationError(

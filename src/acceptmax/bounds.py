@@ -101,25 +101,32 @@ class BoundsReport:
     groups: int | None = None
 
 
+def check_k(class_id: str, n: int, k: int | None) -> None:
+    """Reject a missing ``k``, or one outside [1, family size], for a class that needs it."""
+    if not CLASSES[class_id].needs_k:
+        return
+    if k is None:
+        raise ValidationError(f"class {class_id!r} requires parameter k")
+    family_size = len(threshold_family(n))
+    if not 1 <= k <= family_size:
+        raise ValidationError(f"k={k} outside [1, {family_size}]")
+
+
 def table1_formula(class_id: str, n: int, k: int | None = None) -> Fraction:
     """Closed-form worst-case rate for a class at electorate size ``n``.
 
     Values are exact for each ``n``; the half-electorate rows evaluate to
     ``ceil(n/2)/n``, whose infimum over all sizes is one half.
     """
-    cls = CLASSES[class_id]
-    if cls.needs_k and k is None:
-        raise ValidationError(f"class {class_id!r} requires parameter k")
     if n < 2:
         raise ValidationError("worst-case rates are defined for n >= 2")
+    check_k(class_id, n, k)
     family_size = len(threshold_family(n))
     if class_id in ("any-none", "abs-conj-consistent"):
         return Fraction(0)
     if class_id in ("abs-conj-realizable", "abs-disj-r1"):
         return Fraction(2, n)
     if class_id == "abs-disj-k":
-        if not 1 <= k <= family_size:
-            raise ValidationError(f"k={k} outside [1, {family_size}]")
         return Fraction(math.ceil(Fraction(n * k, family_size)), n)
     if class_id == "ii-disj-last":
         return Fraction(1)

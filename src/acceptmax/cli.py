@@ -1,11 +1,16 @@
 """Command line interface: solve instances, run amendments, verify bounds, generate instances.
 
 Exit codes: 0 success, 1 verification mismatch, 2 input error.
+
+``main`` can be called any number of times in one process. The argument
+parser is built on the first call and reused after that: it holds no
+per-call state.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -95,21 +100,38 @@ def cmd_gen(args) -> int:
     if args.class_id not in bounds.CLASSES:
         raise core.ValidationError(f"unknown class {args.class_id!r}")
     k = args.k if bounds.CLASSES[args.class_id].needs_k else None
+    bounds.check_k(args.class_id, n, k)
     for _ in range(args.count):
         instance = _gen_adc(args.class_id, n, rng, k)
         print(serialize.dumps(serialize.adc_instance_to_dict(instance)))
     return EXIT_OK
 
 
+def _int_at_least(text: str, minimum: int, what: str) -> int:
+    value = int(text)
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
 def electorate_size(text: str) -> int:
     """argparse type for ``--n``: worst cases and threshold families need n >= 2."""
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"electorate size must be at least 2, got {n}")
-    return n
+    return _int_at_least(text, 2, "electorate size")
 
 
+def sample_count(text: str) -> int:
+    """argparse type for ``--samples``: a randomized search needs at least one sample."""
+    return _int_at_least(text, 1, "sample count")
+
+
+def instance_count(text: str) -> int:
+    """argparse type for ``--count``: zero instances is valid, a negative count is not."""
+    return _int_at_least(text, 0, "instance count")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="acceptmax",
         description="Acceptance-maximizing collective decisions over rules and outcomes.",
@@ -141,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["auto", "exhaustive", "randomized"], default="auto"
     )
     p_bounds.add_argument("--seed", type=int, default=0)
-    p_bounds.add_argument("--samples", type=int, default=100_000)
+    p_bounds.add_argument("--samples", type=sample_count, default=100_000)
     p_bounds.add_argument("--k", type=int, default=None)
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -149,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("class_id", metavar="class")
     p_gen.add_argument("--n", type=electorate_size, action="append")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--count", type=int, default=1)
+    p_gen.add_argument("--count", type=instance_count, default=1)
     p_gen.add_argument("--k", type=int, default=None)
     p_gen.set_defaults(func=cmd_gen)
 
@@ -157,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (serialize.ParseError, core.ValidationError) as exc:

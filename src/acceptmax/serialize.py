@@ -34,7 +34,11 @@ _EMPTY_OUTCOMES = ("absolute_proceduralist", "ii_proceduralist")
 
 # Type checks are inline ``isinstance`` tests that call these only to build
 # the error: fields are read once per agent, so one more call per field is a
-# measurable share of parsing a large electorate.
+# measurable share of parsing a large electorate. Element types are checked
+# where a pass over the elements already happens: ``frozenset`` builds are
+# wrapped in ``try`` (an unhashable element raises TypeError), adc thresholds
+# are type-checked with their range in ``AdcInstance``, and an agent's ids and
+# outcomes must lie in universes of strings checked once per instance.
 
 
 def _not_object(obj, where) -> ParseError:
@@ -53,6 +57,15 @@ def _field(obj, key, where):
     return obj[key]
 
 
+def _unhashable(where, **fields) -> ParseError:
+    """The error for the first of ``fields`` holding an array or object element."""
+    for key, values in fields.items():
+        for value in values:
+            if isinstance(value, (list, dict)):
+                return ParseError(f"{where}: field {key!r} holds a {type(value).__name__}")
+    return ParseError(f"{where}: fields {', '.join(map(repr, fields))} must list scalars")
+
+
 def _list_field(obj, key, where):
     value = _field(obj, key, where)
     if not isinstance(value, list):
@@ -60,10 +73,18 @@ def _list_field(obj, key, where):
     return value
 
 
+def _int_field(obj, key, where) -> int:
+    value = _field(obj, key, where)
+    if type(value) is not int:
+        raise ParseError(f"{where}: field {key!r} must be an integer")
+    return value
+
+
 def _agent_flags(type_name, where):
-    if type_name not in AGENT_TYPES:
-        raise ParseError(f"{where}: unknown agent type {type_name!r}")
-    return AGENT_TYPES[type_name]
+    try:
+        return AGENT_TYPES[type_name]
+    except (KeyError, TypeError):
+        raise ParseError(f"{where}: unknown agent type {type_name!r}") from None
 
 
 def fraction_to_dict(value: Fraction) -> dict:
@@ -72,10 +93,19 @@ def fraction_to_dict(value: Fraction) -> dict:
 
 
 def fraction_from_obj(obj, where) -> Fraction:
+    """An exact rational: ``{"num": int, "den": int}`` with den != 0, an int, or a string."""
     if isinstance(obj, dict):
-        return Fraction(_field(obj, "num", where), _field(obj, "den", where))
-    if isinstance(obj, (int, str)):
+        num, den = _field(obj, "num", where), _field(obj, "den", where)
+        if type(num) is int and type(den) is int and den != 0:
+            return Fraction(num, den)
+        raise ParseError(f"{where}: a rational needs integer num and nonzero integer den")
+    if type(obj) is int:
         return Fraction(obj)
+    if type(obj) is str:
+        try:
+            return Fraction(obj)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"{where}: {obj!r} is not a rational") from None
     raise ParseError(f"{where}: expected a rational")
 
 
@@ -88,8 +118,10 @@ def _parse_adc_agent(obj, i, n):
     outcomes, r_t, r_delta = _field(obj, "Y", where), obj.get("R_t", []), obj.get("R_delta", [])
     if not (isinstance(outcomes, list) and isinstance(r_t, list) and isinstance(r_delta, list)):
         raise _not_list(where, Y=outcomes, R_t=r_t, R_delta=r_delta)
-    outcomes = frozenset(outcomes)
-    thresholds = frozenset(r_t)
+    try:
+        outcomes, thresholds = frozenset(outcomes), frozenset(r_t)
+    except TypeError:
+        raise _unhashable(where, Y=outcomes, R_t=r_t) from None
     if r_delta:
         thresholds |= {adc.threshold_of(fraction_from_obj(d, where), n) for d in r_delta}
     if type_name in _EMPTY_RULES and thresholds:
@@ -105,8 +137,11 @@ def _parse_adc_agent(obj, i, n):
 
 
 def parse_adc(obj) -> adc.AdcInstance:
-    n = _field(obj, "n", "adc instance")
-    votes = tuple(_field(obj, "votes", "adc instance"))
+    n = _int_field(obj, "n", "adc instance")
+    votes = _field(obj, "votes", "adc instance")
+    if not isinstance(votes, (str, list)):
+        raise ParseError("adc instance: field 'votes' must be a string or a list")
+    votes = tuple(votes)
     if len(votes) != n:
         raise ParseError(f"adc instance: expected {n} votes, got {len(votes)}")
     agents = tuple(
@@ -117,11 +152,11 @@ def parse_adc(obj) -> adc.AdcInstance:
     if not (feasible is None or isinstance(feasible, list)):
         raise _not_list("adc instance", feasible_t=feasible)
     try:
-        return adc.AdcInstance(
-            votes=votes,
-            agents=agents,
-            feasible_thresholds=frozenset(feasible) if feasible is not None else None,
-        )
+        feasible = frozenset(feasible) if feasible is not None else None
+    except TypeError:
+        raise _unhashable("adc instance", feasible_t=feasible) from None
+    try:
+        return adc.AdcInstance(votes=votes, agents=agents, feasible_thresholds=feasible)
     except core.ValidationError as exc:
         raise ParseError(f"adc instance: {exc}") from exc
 
@@ -132,7 +167,10 @@ def parse_generic(obj) -> core.GenericInstance:
         where = f"rules[{i}]"
         if not isinstance(r, dict):
             raise _not_object(r, where)
-        rules.append(core.RuleRef(_field(r, "id", where), _field(r, "value", where)))
+        rule_id, value = _field(r, "id", where), _field(r, "value", where)
+        if type(rule_id) is not str or type(value) is not str:
+            raise ParseError(f"{where}: fields 'id' and 'value' must be strings")
+        rules.append(core.RuleRef(rule_id, value))
     rules = tuple(rules)
     agents = []
     for i, a in enumerate(_list_field(obj, "agents", "generic instance")):
@@ -144,7 +182,13 @@ def parse_generic(obj) -> core.GenericInstance:
         rule_ids, outcomes = a.get("R", []), a.get("Y", [])
         if not (isinstance(rule_ids, list) and isinstance(outcomes, list)):
             raise _not_list(where, R=rule_ids, Y=outcomes)
-        rule_ids, outcomes = frozenset(rule_ids), frozenset(outcomes)
+        try:
+            rule_ids, outcomes = frozenset(rule_ids), frozenset(outcomes)
+        except TypeError:
+            raise _unhashable(where, R=rule_ids, Y=outcomes) from None
+        vote = a.get("vote")
+        if vote is not None and type(vote) is not str:
+            raise ParseError(f"{where}: field 'vote' must be a string")
         if type_name in _EMPTY_RULES and rule_ids:
             raise ParseError(f"{where}: type {type_name!r} must have no rule set")
         if type_name in _EMPTY_OUTCOMES and outcomes:
@@ -155,10 +199,12 @@ def parse_generic(obj) -> core.GenericInstance:
                 outcomes=outcomes,
                 conjunctive=conj,
                 implementation_indifferent=ii,
-                vote=a.get("vote"),
+                vote=vote,
             )
         )
     outcomes = _list_field(obj, "outcomes", "generic instance")
+    if not all(type(y) is str for y in outcomes):
+        raise ParseError("generic instance: field 'outcomes' must list strings")
     feasible_outcomes = obj.get("feasible_outcomes", outcomes)
     feasible_rules = obj.get("feasible_rules", [r.id for r in rules])
     if not (isinstance(feasible_outcomes, list) and isinstance(feasible_rules, list)):
@@ -168,11 +214,20 @@ def parse_generic(obj) -> core.GenericInstance:
             feasible_rules=feasible_rules,
         )
     try:
+        feasible_outcomes = frozenset(feasible_outcomes)
+        feasible_rules = frozenset(feasible_rules)
+    except TypeError:
+        raise _unhashable(
+            "generic instance",
+            feasible_outcomes=feasible_outcomes,
+            feasible_rules=feasible_rules,
+        ) from None
+    try:
         return core.GenericInstance(
             outcomes=tuple(outcomes),
             rules=rules,
-            feasible_outcomes=frozenset(feasible_outcomes),
-            feasible_rule_ids=frozenset(feasible_rules),
+            feasible_outcomes=feasible_outcomes,
+            feasible_rule_ids=feasible_rules,
             agents=tuple(agents),
         )
     except core.ValidationError as exc:
@@ -180,14 +235,17 @@ def parse_generic(obj) -> core.GenericInstance:
 
 
 def parse_amendment(obj) -> amendment.AmendmentInstance:
-    n = _field(obj, "n", "amendment instance")
+    n = _int_field(obj, "n", "amendment instance")
     peaks = tuple(_list_field(obj, "peaks_t", "amendment instance"))
     if len(peaks) != n:
         raise ParseError(f"amendment instance: expected {n} peaks, got {len(peaks)}")
+    if not all(type(p) is int for p in peaks):
+        raise ParseError("amendment instance: field 'peaks_t' must list integers")
+    status_quo = _int_field(obj, "status_quo_t", "amendment instance")
     try:
         return amendment.AmendmentInstance(
             peaks=peaks,
-            status_quo=_field(obj, "status_quo_t", "amendment instance"),
+            status_quo=status_quo,
             vote_policy=amendment.VotePolicy(obj.get("vote_policy", "nearer")),
         )
     except (core.ValidationError, ValueError) as exc:

@@ -1,8 +1,12 @@
 """Command line interface: schemas, exit codes, deterministic output."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acceptmax import cli, serialize
 from acceptmax.adc import AdcInstance, adc_to_generic
@@ -211,6 +215,18 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "no-such-row", "--n", "3")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exits_2(self, capsys, samples):
+        # Zero samples would report "match": true with no observed rate.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["bounds", "abs-disj-r1", "--n", "6", "--mode", "randomized",
+                 "--samples", samples]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "sample count must be at least 1" in err
+
 
 class TestGen:
     def test_seeded_output_is_deterministic(self, capsys):
@@ -259,6 +275,20 @@ class TestGen:
         assert exc.value.code == 2
         assert "at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [[], ["--k", "0"], ["--k", "-1"], ["--k", "3"]])
+    def test_missing_or_out_of_range_k_exits_2(self, capsys, k):
+        code, out, err = run_cli(capsys, "gen", "abs-disj-k", "--n", "4", *k)
+        assert (code, out) == (2, "") and err.startswith("error:")
+
+    def test_negative_count_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "amendment", "--count", "-1"])
+        assert exc.value.code == 2
+        assert "instance count must be at least 0" in capsys.readouterr().err
+
+    def test_zero_count_prints_nothing(self, capsys):
+        assert run_cli(capsys, "gen", "amendment", "--count", "0") == (0, "", "")
+
 
 class TestSerializeRoundTrip:
     def test_adc_round_trip(self):
@@ -285,3 +315,172 @@ class TestSerializeRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(serialize.ParseError):
             serialize.parse_instance({"kind": "mystery"})
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; no call may see another call's arguments."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_appended_option_starts_empty_each_call(self, capsys):
+        for n in (3, 4):
+            code, out, _ = run_cli(capsys, "bounds", "abs-disj-r1", "--n", str(n))
+            assert code == 0
+            rows = out.splitlines()
+            assert len(rows) == 1 and json.loads(rows[0])["n"] == n
+
+    def test_defaults_come_back_after_an_option(self, capsys, write_json):
+        path = write_json(ADC_CONSEQ)
+        code, out, _ = run_cli(capsys, "solve", path, "--mechanism", "oracle")
+        assert code == 0 and "tally" in json.loads(out)
+        code, out, _ = run_cli(capsys, "solve", path)
+        assert code == 0 and "tally" not in json.loads(out)
+
+    def test_valid_call_after_argparse_error(self, capsys, write_json):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "abs-disj-r1", "--n", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "solve", write_json(ADC_CONSEQ))
+        assert code == 0 and json.loads(out)["count"] == 2 and err == ""
+
+
+def _with_agent(payload, i, **fields):
+    out = copy.deepcopy(payload)
+    out["agents"][i].update(fields)
+    return out
+
+
+MALFORMED = {
+    "R_t string": (_with_agent(ADC_II_DISJ, 0, R_t=["2"]), "thresholds must be integers"),
+    "R_t bool": (_with_agent(ADC_II_DISJ, 0, R_t=[True]), "thresholds must be integers"),
+    "R_delta den 0": (
+        _with_agent(ADC_II_DISJ, 1, R_delta=[{"num": 1, "den": 0}]),
+        "nonzero integer den",
+    ),
+    "R_delta 1/0": (_with_agent(ADC_II_DISJ, 1, R_delta=["1/0"]), "'1/0' is not a rational"),
+    "R_delta string num": (
+        _with_agent(ADC_II_DISJ, 1, R_delta=[{"num": "1", "den": 2}]),
+        "integer num",
+    ),
+    "R_delta abc": (_with_agent(ADC_II_DISJ, 1, R_delta=["abc"]), "'abc' is not a rational"),
+    "adc Y nested": (_with_agent(ADC_II_DISJ, 0, Y=[["p"]]), "field 'Y' holds a list"),
+    "adc type list": (_with_agent(ADC_II_DISJ, 0, type=["x"]), "unknown agent type"),
+    "adc n string": ({**ADC_II_DISJ, "n": "3"}, "field 'n' must be an integer"),
+    "adc votes number": ({**ADC_II_DISJ, "votes": 3}, "'votes' must be a string or a list"),
+    "feasible_t nested": ({**ADC_II_DISJ, "feasible_t": [[2]]}, "'feasible_t' holds a list"),
+    "feasible_t string": ({**ADC_II_DISJ, "feasible_t": ["2"]}, "feasible thresholds"),
+    "generic Y nested": (_with_agent(GENERIC, 1, Y=[["a"]]), "field 'Y' holds a list"),
+    "generic type list": (_with_agent(GENERIC, 0, type=["x"]), "unknown agent type"),
+    "generic vote list": (_with_agent(GENERIC, 1, vote=["A"]), "'vote' must be a string"),
+    "generic outcome number": ({**GENERIC, "outcomes": ["A", 2]}, "'outcomes' must list strings"),
+    "generic rule id list": (
+        {**GENERIC, "rules": [{"id": ["r1"], "value": "A"}]},
+        "'id' and 'value' must be strings",
+    ),
+    "generic feasible nested": (
+        {**GENERIC, "feasible_rules": [["r1"]]},
+        "'feasible_rules' holds a list",
+    ),
+    "amendment n string": ({**AMENDMENT, "n": "5"}, "field 'n' must be an integer"),
+    "amendment peak string": (
+        {**AMENDMENT, "peaks_t": ["3", 4, 4, 5, 5]},
+        "'peaks_t' must list integers",
+    ),
+    "amendment status quo float": (
+        {**AMENDMENT, "status_quo_t": 3.0},
+        "'status_quo_t' must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_element_exits_2(capsys, write_json, case):
+    payload, message = MALFORMED[case]
+    command = "amend" if payload.get("kind") == "amendment" else "solve"
+    code, out, err = run_cli(capsys, command, write_json(payload))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
+# --- Input boundary: mutate valid instances into arbitrary JSON ------------------
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=12),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(["p", "r", "A", "B", "r1", "t2", "2", "1/2", "1/0", "abc", ""]),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["num", "den", "type", "Y", "R_t", "id"]) | st.text(max_size=3),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with one to three nodes replaced by arbitrary JSON or deleted."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(JSON_VALUES)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+BOUNDARY_CASES = {
+    "adc-solve": (ADC_II_DISJ, ["solve"]),
+    "adc-oracle": (ADC_CONSEQ, ["solve", "--mechanism", "oracle"]),
+    "generic-solve": (_with_agent(GENERIC, 1, vote="A"), ["solve"]),
+    "generic-oracle": (GENERIC, ["solve", "--mechanism", "oracle"]),
+    "amendment-iterative": (AMENDMENT, ["amend"]),
+    "amendment-one-step": (AMENDMENT, ["amend", "--one-step"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_arbitrary_json_exits_0_or_2(tmp_path_factory, case):
+    base, command = BOUNDARY_CASES[case]
+    path = tmp_path_factory.mktemp("boundary") / "instance.json"
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutated(base))
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command[0], str(path), *command[1:]])
+        if code == 0:
+            json.loads(out.getvalue())
+        else:
+            assert code == 2 and err.getvalue().startswith("error:"), err.getvalue()
+
+    check()
