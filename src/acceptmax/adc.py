@@ -147,14 +147,12 @@ def adc_accepts(agent: AdcAgent, t: int, outcome: str, votes_p: int) -> bool:
     return outcome_ok or rule_ok
 
 
-def adc_decisions(instance: AdcInstance) -> list:
+def adc_decisions(n: int, votes_p: int, feasible) -> list:
     """Feasible (threshold, outcome) pairs, sorted by (outcome, threshold)."""
-    pairs = [
-        (t, supermajority_outcome(t, instance.votes_p, instance.n))
-        for t in sorted(instance.feasible_thresholds)
-    ]
-    pairs.sort(key=lambda p: (p[1], p[0]))
-    return pairs
+    return sorted(
+        ((t, supermajority_outcome(t, votes_p, n)) for t in feasible),
+        key=lambda p: (p[1], p[0]),
+    )
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,8 @@ An instance class pairs a (homogeneous) agent type with a structural
 assumption on the agents' satisfying sets, such as "each agent finds at
 least one feasible rule acceptable". The worst case is the minimum, over
 every instance in the class, of the best achievable acceptance count, as
-an exact rational of the electorate size. Classes are exhausted through
-``EXACT_N_MAX`` agents; larger ones are probed by seeded random search,
-which can only confirm the lower bound.
+an exact rational of the electorate size. The search is exact at every
+electorate size.
 
 Assumptions that reference acceptable outcomes are read against the
 outcomes some feasible rule actually selects on the profile at hand
@@ -27,13 +26,21 @@ the minimum:
    Pareto-minimal are kept, the first in canonical order standing for
    each vector (swapping an agent for one that accepts a subset of its
    decisions cannot raise any decision's count).
+
+The multisets are searched depth first by branch and bound, proposal
+voters first. A branch carries each feasible decision's acceptance count
+so far and is dropped once it cannot beat the least best count found yet:
+when its largest count already reaches it, or when the pigeonhole bound
+does. Every remaining agent adds at least the fewest acceptances among its
+side's kept options, so some decision ends with at least
+``ceil((sum of counts + those fewest acceptances) / number of decisions)``.
+Neither bound drops a branch holding a smaller minimum.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +51,7 @@ from .adc import (
     AdcAgent,
     AdcInstance,
     adc_accepts,
+    adc_decisions,
     majority_threshold,
     supermajority_outcome,
     threshold_family,
@@ -79,26 +87,21 @@ CLASSES = {
     )
 }
 
-EXACT_N_MAX = 8
-
 
 @dataclass(frozen=True)
 class BoundsReport:
     class_id: str
     n: int
     k: int | None
-    mode: str  # "exhaustive" | "randomized"
-    seed: int | None
-    samples: int | None
     observed_min_rate: Fraction | None
     formula_rate: Fraction
     witness: AdcInstance | None
     match: bool
-    # Exhaustive search counters summed over vote counts (None when randomized):
-    # agent options seen, options kept after pruning, multisets visited.
-    options: int | None = None
-    kept: int | None = None
-    groups: int | None = None
+    # Search counters summed over vote counts: agent options listed, options
+    # kept after pruning, branch-and-bound nodes visited.
+    options: int
+    kept: int
+    nodes: int
 
 
 def check_k(class_id: str, n: int, k: int | None) -> None:
@@ -275,174 +278,112 @@ def _decision_bits(agent: AdcAgent, decisions, votes_p):
 def _pareto_minimal(bit_options):
     """The options whose acceptance vector no other option's lies below.
 
-    Options with equal vectors are represented by the first in canonical order.
+    Options with equal vectors are represented by the first in canonical order,
+    and the kept options stay in canonical order.
     """
     firsts = {}
     for bits, agent in bit_options:
         firsts.setdefault(bits, agent)
-    return [
-        (bits, agent)
-        for bits, agent in firsts.items()
-        if not any(
-            other != bits and all(o <= b for o, b in zip(other, bits))
-            for other in firsts
-        )
-    ]
+    # A vector can only lie below one with a larger sum, so visiting by sum
+    # compares each vector with the minimal ones found so far and no others.
+    minimal = []
+    for bits in sorted(firsts, key=sum):
+        if not any(all(o <= b for o, b in zip(other, bits)) for other in minimal):
+            minimal.append(bits)
+    keep = set(minimal)
+    return [(bits, agent) for bits, agent in firsts.items() if bits in keep]
 
 
-def _sweep_one_vote_count(class_id, n, votes_p, k):
-    """Exact minimum best-count over class instances with this vote count.
+def _branch_and_bound(slots, width, best):
+    """Least-count multiset of one kept option per slot, if below ``best``.
 
-    Returns ``(result, (options, kept, groups))``: ``result`` is
-    ``(min_count, witness AdcInstance)``, or None when the class admits no
-    instance on such profiles; the counters are the agent options listed,
-    those kept after pruning, and the multisets visited.
+    ``slots`` lists each agent's kept ``(bits, agent)`` options; consecutive
+    slots that share one list form a multiset, chosen by nondecreasing index.
+    Leaves are visited in the order of the multiset product, and only a
+    strictly smaller count replaces ``best``. Returns ``(best, agents,
+    nodes)``: ``agents`` is None when no leaf beats the ``best`` passed in,
+    and ``nodes`` counts the partial multisets whose bounds were checked.
     """
-    feasible = frozenset(threshold_family(n))
-    opts_p = agent_options(class_id, n, votes_p, PROPOSAL, feasible, k)
-    opts_r = agent_options(class_id, n, votes_p, STATUS_QUO, feasible, k)
-    decisions = sorted(
-        ((t, supermajority_outcome(t, votes_p, n)) for t in feasible),
-        key=lambda d: (d[1], d[0]),
-    )
-    bits_p = _pareto_minimal((_decision_bits(a, decisions, votes_p), a) for a in opts_p)
-    bits_r = _pareto_minimal((_decision_bits(a, decisions, votes_p), a) for a in opts_r)
-    options, kept = len(opts_p) + len(opts_r), len(bits_p) + len(bits_r)
-    if (votes_p > 0 and not bits_p) or (votes_p < n and not bits_r):
-        return None, (options, kept, 0)
-    votes = (PROPOSAL,) * votes_p + (STATUS_QUO,) * (n - votes_p)
-    width = len(decisions)
-    groups = 0
-    best_count, best_agents = None, None
-    for group_p in itertools.combinations_with_replacement(bits_p, votes_p):
-        base = [0] * width
-        for bits, _ in group_p:
-            for j in range(width):
-                base[j] += bits[j]
-        for group_r in itertools.combinations_with_replacement(bits_r, n - votes_p):
-            groups += 1
-            totals = list(base)
-            for bits, _ in group_r:
-                for j in range(width):
-                    totals[j] += bits[j]
-            count = max(totals)
-            if best_count is None or count < best_count:
-                best_count = count
-                best_agents = tuple(a for _, a in group_p) + tuple(
-                    a for _, a in group_r
-                )
-                if best_count == 0:
-                    break
-        if best_count == 0:
-            break
-    counters = (options, kept, groups)
-    if best_count is None:
-        return None, counters
-    return (best_count, AdcInstance(votes, best_agents, feasible)), counters
+    size = len(slots)
+    rest = [0] * (size + 1)
+    for i in reversed(range(size)):
+        rest[i] = rest[i + 1] + min(sum(bits) for bits, _ in slots[i])
+    chosen = []
+    found = None
+    nodes = 0
+
+    def visit(i, start, totals):
+        nonlocal best, found, nodes
+        nodes += 1
+        # Pigeonhole: some decision ends with at least the mean column total.
+        if max(totals) >= best or -(-(sum(totals) + rest[i]) // width) >= best:
+            return
+        if i == size:
+            best, found = max(totals), tuple(chosen)
+            return
+        options = slots[i]
+        same_side = i + 1 < size and slots[i + 1] is options
+        for index in range(start, len(options)):
+            bits, agent = options[index]
+            chosen.append(agent)
+            visit(
+                i + 1,
+                index if same_side else 0,
+                [a + b for a, b in zip(totals, bits)],
+            )
+            chosen.pop()
+
+    visit(0, 0, [0] * width)
+    return best, found, nodes
 
 
 def _min_rate_exhaustive(class_id, n, k):
-    """(min rate, witness, summed (options, kept, groups)) over all vote counts."""
-    best_rate, witness = None, None
-    totals = [0, 0, 0]
-    for votes_p in range(n + 1):
-        res, counters = _sweep_one_vote_count(class_id, n, votes_p, k)
-        totals = [a + b for a, b in zip(totals, counters)]
-        if res is None:
-            continue
-        rate = Fraction(res[0], n)
-        if best_rate is None or rate < best_rate:
-            best_rate, witness = rate, res[1]
-    return best_rate, witness, tuple(totals)
+    """(min rate, witness, (options, kept, nodes)) over all vote counts.
 
-
-def _instance_best_count(instance: AdcInstance) -> int:
-    votes_p = instance.votes_p
-    best = 0
-    for t in instance.feasible_thresholds:
-        y = supermajority_outcome(t, votes_p, instance.n)
-        count = sum(1 for a in instance.agents if adc_accepts(a, t, y, votes_p))
-        if count > best:
-            best = count
-    return best
-
-
-def _min_rate_randomized(class_id, n, k, seed, samples):
-    rng = random.Random(seed)
+    The best count carries over from one vote count to the next, so the
+    witness is the first minimal multiset at the first vote count that
+    reaches the minimum.
+    """
     feasible = frozenset(threshold_family(n))
-    option_cache = {}
-    best_rate, witness = None, None
-    for _ in range(samples):
-        for _attempt in range(1000):
-            votes = tuple(rng.choice(OUTCOMES) for _ in range(n))
-            votes_p = sum(1 for v in votes if v == PROPOSAL)
-            per_agent = []
-            for v in votes:
-                key = (votes_p, v)
-                if key not in option_cache:
-                    option_cache[key] = agent_options(
-                        class_id, n, votes_p, v, feasible, k
-                    )
-                per_agent.append(option_cache[key])
-            if all(per_agent):
-                break
-        else:
-            raise ValidationError(f"class {class_id!r} unsatisfiable for n={n}")
-        agents = tuple(rng.choice(opts) for opts in per_agent)
-        instance = AdcInstance(votes, agents, feasible)
-        rate = Fraction(_instance_best_count(instance), n)
-        if best_rate is None or rate < best_rate:
-            best_rate, witness = rate, instance
-    return best_rate, witness
+    best, witness = n + 1, None
+    options = kept = nodes = 0
+    for votes_p in range(n + 1):
+        decisions = adc_decisions(n, votes_p, feasible)
+        sides = []
+        for vote in (PROPOSAL, STATUS_QUO):
+            opts = agent_options(class_id, n, votes_p, vote, feasible, k)
+            bits = _pareto_minimal(
+                (_decision_bits(a, decisions, votes_p), a) for a in opts
+            )
+            options += len(opts)
+            kept += len(bits)
+            sides.append(bits)
+        bits_p, bits_r = sides
+        if (votes_p > 0 and not bits_p) or (votes_p < n and not bits_r):
+            continue
+        slots = [bits_p] * votes_p + [bits_r] * (n - votes_p)
+        best, agents, visited = _branch_and_bound(slots, len(decisions), best)
+        nodes += visited
+        if agents is not None:
+            votes = (PROPOSAL,) * votes_p + (STATUS_QUO,) * (n - votes_p)
+            witness = AdcInstance(votes, agents, feasible)
+    observed = None if witness is None else Fraction(best, n)
+    return observed, witness, (options, kept, nodes)
 
 
-def worst_case_rate(
-    class_id: str,
-    n: int,
-    mode: str = "exhaustive",
-    seed: int = 0,
-    samples: int = 100_000,
-    k: int | None = None,
-) -> BoundsReport:
-    """Minimize the best achievable acceptance rate over an instance class."""
+def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport:
+    """Exact minimum of the best achievable acceptance rate over an instance class."""
     if class_id not in CLASSES:
         raise ValidationError(f"unknown class {class_id!r}")
     formula = table1_formula(class_id, n, k)
-    if mode == "exhaustive":
-        observed, witness, counters = _min_rate_exhaustive(class_id, n, k)
-        match = observed is None or observed == formula
-        return BoundsReport(
-            class_id, n, k, "exhaustive", None, None, observed, formula, witness, match,
-            *counters,
-        )
-    if mode == "randomized":
-        observed, witness = _min_rate_randomized(class_id, n, k, seed, samples)
-        match = observed is None or observed >= formula
-        return BoundsReport(
-            class_id, n, k, "randomized", seed, samples, observed, formula, witness, match
-        )
-    raise ValidationError(f"unknown mode {mode!r}")
+    observed, witness, counters = _min_rate_exhaustive(class_id, n, k)
+    match = observed is None or observed == formula
+    return BoundsReport(class_id, n, k, observed, formula, witness, match, *counters)
 
 
-def pick_mode(n: int) -> str:
-    """Exact search through ``EXACT_N_MAX`` agents, random search above."""
-    return "exhaustive" if n <= EXACT_N_MAX else "randomized"
-
-
-def verify_row(
-    class_id: str,
-    n_list,
-    mode: str = "auto",
-    seed: int = 0,
-    samples: int = 100_000,
-    k: int | None = None,
-):
+def verify_row(class_id: str, n_list, k: int | None = None):
     """Worst-case search per size, compared against the closed form."""
-    reports = []
-    for n in n_list:
-        chosen = pick_mode(n) if mode == "auto" else mode
-        reports.append(worst_case_rate(class_id, n, chosen, seed, samples, k))
-    return reports
+    return [worst_case_rate(class_id, n, k) for n in n_list]
 
 
 def majority_mechanism_count(instance: AdcInstance) -> int:

@@ -57,15 +57,7 @@ def cmd_bounds(args) -> int:
     all_match = True
     for class_id in class_ids:
         k = args.k if bounds.CLASSES[class_id].needs_k else None
-        reports = bounds.verify_row(
-            class_id,
-            args.n,
-            mode=args.mode,
-            seed=args.seed,
-            samples=args.samples,
-            k=k,
-        )
-        for report in reports:
+        for report in bounds.verify_row(class_id, args.n, k):
             print(serialize.dumps(serialize.bounds_report_to_dict(report)))
             all_match = all_match and report.match
     return EXIT_OK if all_match else EXIT_MISMATCH
@@ -119,11 +111,6 @@ def electorate_size(text: str) -> int:
     return _int_at_least(text, 2, "electorate size")
 
 
-def sample_count(text: str) -> int:
-    """argparse type for ``--samples``: a randomized search needs at least one sample."""
-    return _int_at_least(text, 1, "sample count")
-
-
 def instance_count(text: str) -> int:
     """argparse type for ``--count``: zero instances is valid, a negative count is not."""
     return _int_at_least(text, 0, "instance count")
@@ -160,10 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("class_id", metavar="class")
     p_bounds.add_argument("--n", type=electorate_size, action="append", required=True)
     p_bounds.add_argument(
-        "--mode", choices=["auto", "exhaustive", "randomized"], default="auto"
+        "--mode", choices=["auto", "exhaustive"], default="auto",
+        help="ignored: every size runs the one exact search "
+        "(kept because perfbench/gen.py passes it)",
     )
-    p_bounds.add_argument("--seed", type=int, default=0)
-    p_bounds.add_argument("--samples", type=sample_count, default=100_000)
     p_bounds.add_argument("--k", type=int, default=None)
     p_bounds.set_defaults(func=cmd_bounds)
 

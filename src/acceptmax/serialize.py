@@ -93,7 +93,10 @@ def fraction_to_dict(value: Fraction) -> dict:
 
 
 def fraction_from_obj(obj, where) -> Fraction:
-    """An exact rational: ``{"num": int, "den": int}`` with den != 0, an int, or a string."""
+    """An exact rational: ``{"num": int, "den": int}`` with den != 0, an int, or a string.
+
+    A string is ``a/b`` or a plain decimal; one with an exponent is rejected.
+    """
     if isinstance(obj, dict):
         num, den = _field(obj, "num", where), _field(obj, "den", where)
         if type(num) is int and type(den) is int and den != 0:
@@ -102,10 +105,13 @@ def fraction_from_obj(obj, where) -> Fraction:
     if type(obj) is int:
         return Fraction(obj)
     if type(obj) is str:
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{where}: {obj!r} is not a rational") from None
+        # Fraction writes a decimal exponent out in full: "1e-999999999" would hang.
+        if "e" not in obj and "E" not in obj:
+            try:
+                return Fraction(obj)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ParseError(f"{where}: {obj!r} is not a rational")
     raise ParseError(f"{where}: expected a rational")
 
 
@@ -395,16 +401,13 @@ def bounds_report_to_dict(report) -> dict:
         "class": report.class_id,
         "n": report.n,
         "k": report.k,
-        "mode": report.mode,
-        "seed": report.seed,
-        "samples": report.samples,
         "observed_min_rate": rate(report.observed_min_rate),
         "formula_rate": rate(report.formula_rate),
         "witness": None if report.witness is None else adc_instance_to_dict(report.witness),
         "match": report.match,
         "options": report.options,
         "kept": report.kept,
-        "groups": report.groups,
+        "nodes": report.nodes,
     }
 
 

@@ -42,7 +42,7 @@ def threshold_oracle_count(inst):
     """Brute force over (threshold, outcome) pairs with the binary-choice predicate."""
     return max(
         sum(1 for a in inst.agents if adc_accepts(a, t, y, inst.votes_p))
-        for t, y in adc_decisions(inst)
+        for t, y in adc_decisions(inst.n, inst.votes_p, inst.feasible_thresholds)
     )
 
 

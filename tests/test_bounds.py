@@ -1,5 +1,6 @@
-"""Worst-case acceptance rates: closed forms, enumeration reductions, search modes."""
+"""Worst-case acceptance rates: closed forms, enumeration reductions, the exact search."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -19,15 +20,15 @@ from acceptmax.adc import (
 )
 from acceptmax.bounds import (
     CLASSES,
-    EXACT_N_MAX,
+    _branch_and_bound,
     class_predicate,
     enumerate_instances,
     majority_mechanism_count,
-    pick_mode,
     table1_formula,
     worst_case_rate,
 )
 from acceptmax.core import ValidationError, max_accept, oracle_max_accept
+from acceptmax.serialize import adc_instance_to_dict, dumps
 
 from conftest import random_adc_instance
 
@@ -132,40 +133,40 @@ class TestReductionsAreExact:
         "class_id", ["conseq-y1", "conseq-consistent", "ii-disj-r1", "ii-disj-y1"]
     )
     def test_reduced_matches_full_space_n2(self, class_id):
-        report = worst_case_rate(class_id, 2, mode="exhaustive")
+        report = worst_case_rate(class_id, 2)
         assert report.observed_min_rate == Fraction(full_space_min(class_id, 2), 2)
 
     @pytest.mark.parametrize("class_id", ["conseq-y1", "abs-conj-realizable"])
     def test_reduced_matches_full_space_n3(self, class_id):
-        report = worst_case_rate(class_id, 3, mode="exhaustive")
+        report = worst_case_rate(class_id, 3)
         assert report.observed_min_rate == Fraction(full_space_min(class_id, 3), 3)
 
 
 class TestExhaustive:
     def test_abs_conj_consistent_has_zero_witness(self):
-        report = worst_case_rate("abs-conj-consistent", 3, mode="exhaustive")
+        report = worst_case_rate("abs-conj-consistent", 3)
         assert report.observed_min_rate == 0 and report.match
         assert oracle_count(report.witness) == 0
         for agent, vote in zip(report.witness.agents, report.witness.votes):
             assert vote in agent.outcomes and agent.thresholds
 
     def test_abs_disj_r1_n4(self):
-        report = worst_case_rate("abs-disj-r1", 4, mode="exhaustive")
+        report = worst_case_rate("abs-disj-r1", 4)
         assert report.observed_min_rate == Fraction(1, 2) and report.match
 
     def test_conseq_y1_n4(self):
-        report = worst_case_rate("conseq-y1", 4, mode="exhaustive")
+        report = worst_case_rate("conseq-y1", 4)
         assert report.observed_min_rate == Fraction(1, 2) and report.match
 
     def test_witness_achieves_observed_minimum(self):
-        report = worst_case_rate("ii-conj-realizable", 3, mode="exhaustive")
+        report = worst_case_rate("ii-conj-realizable", 3)
         assert report.match
         observed = Fraction(oracle_count(report.witness), 3)
         assert observed == report.observed_min_rate
 
     def test_k_row_pigeonhole_witness(self):
         for n, k in [(3, 1), (3, 2), (4, 1), (4, 2)]:
-            report = worst_case_rate("abs-disj-k", n, mode="exhaustive", k=k)
+            report = worst_case_rate("abs-disj-k", n, k=k)
             expected = math.ceil(Fraction(n * k, len(threshold_family(n))))
             assert report.observed_min_rate == Fraction(expected, n)
             assert report.match
@@ -176,7 +177,7 @@ class TestExhaustive:
         # The witness is built from pruned representatives: it must still be a
         # member of the class and reach exactly the reported minimum.
         k = 2 if CLASSES[class_id].needs_k else None
-        report = worst_case_rate(class_id, n, mode="exhaustive", k=k)
+        report = worst_case_rate(class_id, n, k=k)
         w = report.witness
         for agent, vote in zip(w.agents, w.votes):
             assert class_predicate(
@@ -185,23 +186,49 @@ class TestExhaustive:
         assert Fraction(oracle_count(w), n) == report.observed_min_rate
 
     def test_search_counters(self):
-        report = worst_case_rate("abs-disj-r1", 5, mode="exhaustive")
-        assert (report.options, report.kept, report.groups) == (336, 36, 252)
-        sampled = worst_case_rate("abs-disj-r1", 5, mode="randomized", samples=10)
-        assert (sampled.options, sampled.kept, sampled.groups) == (None, None, None)
+        report = worst_case_rate("abs-disj-r1", 5)
+        assert (report.options, report.kept, report.nodes) == (336, 36, 27)
+
+    def test_witnesses_are_stable(self):
+        # One digest over the witness of every row of
+        # `bounds all --n 3 ... --n 8 --k 2`, as the multiset product found them.
+        digest = hashlib.sha256()
+        for class_id in sorted(CLASSES):
+            k = 2 if CLASSES[class_id].needs_k else None
+            for n in range(3, 9):
+                witness = worst_case_rate(class_id, n, k=k).witness
+                digest.update(dumps(adc_instance_to_dict(witness)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "7bac6ab3d49b05a26cd80baf9ba4f441b5a389180fc5330aaa3cb667e79e2b5f"
+        )
 
 
-class TestRandomized:
-    def test_bound_respected_and_deterministic(self):
-        a = worst_case_rate("abs-disj-r1", 6, mode="randomized", seed=11, samples=2000)
-        b = worst_case_rate("abs-disj-r1", 6, mode="randomized", seed=11, samples=2000)
-        assert a == b
-        assert a.observed_min_rate >= a.formula_rate and a.match
-
-    def test_mode_picker(self):
-        assert pick_mode(3) == "exhaustive"
-        assert pick_mode(EXACT_N_MAX) == "exhaustive"
-        assert pick_mode(EXACT_N_MAX + 1) == "randomized"
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_branch_and_bound_matches_multiset_product(data):
+    # Against the plain multiset product on arbitrary vectors: the first
+    # least-count multiset, and nothing when the carried best is not beaten.
+    width = data.draw(st.integers(min_value=1, max_value=4))
+    vectors = st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=1)] * width), min_size=1, max_size=4
+    )
+    opts_p = [(bits, ("p", i)) for i, bits in enumerate(data.draw(vectors))]
+    opts_r = [(bits, ("r", i)) for i, bits in enumerate(data.draw(vectors))]
+    size_p = data.draw(st.integers(min_value=0, max_value=4))
+    size_r = data.draw(st.integers(min_value=0, max_value=4))
+    best_in = data.draw(st.integers(min_value=0, max_value=size_p + size_r + 1))
+    expected_count, expected_agents = best_in, None
+    for group_p in itertools.combinations_with_replacement(opts_p, size_p):
+        for group_r in itertools.combinations_with_replacement(opts_r, size_r):
+            group = group_p + group_r
+            count = max(sum(bits[j] for bits, _ in group) for j in range(width))
+            if count < expected_count:
+                expected_count = count
+                expected_agents = tuple(agent for _, agent in group)
+    best, agents, _nodes = _branch_and_bound(
+        [opts_p] * size_p + [opts_r] * size_r, width, best_in
+    )
+    assert (best, agents) == (expected_count, expected_agents)
 
 
 class TestMajorityMechanism:

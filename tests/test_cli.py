@@ -161,6 +161,13 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", path)
         assert code == 2 and "'Y' must be a list" in err
 
+    @pytest.mark.parametrize("delta", ["2/3", "0.6667"])
+    def test_string_r_delta_solves_like_rational(self, capsys, write_json, delta):
+        # Both strings give threshold floor(d * 3) + 1 = 3, as {"num": 2, "den": 3} does.
+        expected = run_cli(capsys, "solve", write_json(ADC_II_DISJ))
+        path = write_json(_with_agent(ADC_II_DISJ, 1, R_delta=[delta]), "string.json")
+        assert run_cli(capsys, "solve", path) == expected
+
 
 class TestAmend:
     def test_iterative(self, capsys, write_json):
@@ -215,17 +222,15 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "no-such-row", "--n", "3")
         assert code == 2 and "error:" in err
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_samples_below_one_exits_2(self, capsys, samples):
-        # Zero samples would report "match": true with no observed rate.
+    @pytest.mark.parametrize(
+        "extra", [["--mode", "randomized"], ["--samples", "10"], ["--seed", "1"]]
+    )
+    def test_random_search_options_exit_2(self, capsys, extra):
+        # The search is exact at every size; random search and its options are gone.
         with pytest.raises(SystemExit) as exc:
-            cli.main(
-                ["bounds", "abs-disj-r1", "--n", "6", "--mode", "randomized",
-                 "--samples", samples]
-            )
+            cli.main(["bounds", "abs-disj-r1", "--n", "6", *extra])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "sample count must be at least 1" in err
+        assert "error:" in capsys.readouterr().err
 
 
 class TestGen:
@@ -365,6 +370,10 @@ MALFORMED = {
         "integer num",
     ),
     "R_delta abc": (_with_agent(ADC_II_DISJ, 1, R_delta=["abc"]), "'abc' is not a rational"),
+    "R_delta exponent": (
+        _with_agent(ADC_II_DISJ, 1, R_delta=["1e-999999999"]),
+        "'1e-999999999' is not a rational",
+    ),
     "adc Y nested": (_with_agent(ADC_II_DISJ, 0, Y=[["p"]]), "field 'Y' holds a list"),
     "adc type list": (_with_agent(ADC_II_DISJ, 0, type=["x"]), "unknown agent type"),
     "adc n string": ({**ADC_II_DISJ, "n": "3"}, "field 'n' must be an integer"),
