@@ -124,22 +124,12 @@ class AdcInstance:
     def votes_p(self) -> int:
         return sum(1 for v in self.votes if v == PROPOSAL)
 
-    def realizable_outcomes(self) -> frozenset:
-        """Outcomes selected by at least one feasible threshold."""
-        return frozenset(
-            supermajority_outcome(t, self.votes_p, self.n)
-            for t in self.feasible_thresholds
-        )
-
 
 def adc_accepts(agent: AdcAgent, t: int, outcome: str, votes_p: int) -> bool:
     """Fast acceptance predicate over threshold-encoded decisions."""
     outcome_ok = outcome in agent.outcomes
     if agent.implementation_indifferent:
-        if outcome == PROPOSAL:
-            rule_ok = any(s <= votes_p for s in agent.thresholds)
-        else:
-            rule_ok = any(s > votes_p for s in agent.thresholds)
+        rule_ok = outcome in agent.realized(votes_p)
     else:
         rule_ok = t in agent.thresholds
     if agent.conjunctive:
@@ -179,9 +169,8 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
             outcomes=a.outcomes,
             conjunctive=a.conjunctive,
             implementation_indifferent=a.implementation_indifferent,
-            vote=instance.votes[i],
         )
-        for i, a in enumerate(instance.agents)
+        for a in instance.agents
     )
     return GenericInstance(
         outcomes=(STATUS_QUO, PROPOSAL),

@@ -150,6 +150,17 @@ def h_threshold(peaks, n: int) -> int:
     return best
 
 
+def _ballot(instance: AmendmentInstance, r: int, p: int) -> AmendmentStep:
+    """Put proposal ``p`` against status quo ``r``, decided by the incumbent rule ``r``."""
+    votes = induce_profile(instance.peaks, r, p, instance.vote_policy)
+    votes_p = sum(1 for v in votes if v == PROPOSAL)
+    winner = p if supermajority_outcome(r, votes_p, instance.n) == PROPOSAL else r
+    accepted = step_accepted_by(instance.peaks, votes, r, p, winner)
+    return AmendmentStep(
+        status_quo=r, proposal=p, votes=votes, outcome=winner, accepted_by=accepted
+    )
+
+
 def amend_iterative(instance: AmendmentInstance) -> AmendmentTrace:
     """Raise the threshold one notch at a time until a proposal fails.
 
@@ -157,28 +168,16 @@ def amend_iterative(instance: AmendmentInstance) -> AmendmentTrace:
     induced profile; the process stops at the first failed proposal or at
     unanimity, and the last vote's decision is the result.
     """
-    n = instance.n
     r = instance.status_quo
     steps = []
     final_rule, final_outcome = r, r
-    while r < n:
-        p = r + 1
-        votes = induce_profile(instance.peaks, r, p, instance.vote_policy)
-        votes_p = sum(1 for v in votes if v == PROPOSAL)
-        winner = p if supermajority_outcome(r, votes_p, n) == PROPOSAL else r
-        steps.append(
-            AmendmentStep(
-                status_quo=r,
-                proposal=p,
-                votes=votes,
-                outcome=winner,
-                accepted_by=step_accepted_by(instance.peaks, votes, r, p, winner),
-            )
-        )
-        final_rule, final_outcome = r, winner
-        if winner == r:
+    while r < instance.n:
+        step = _ballot(instance, r, r + 1)
+        steps.append(step)
+        final_rule, final_outcome = r, step.outcome
+        if step.outcome == r:
             break
-        r = p
+        r = step.proposal
     return AmendmentTrace(
         steps=tuple(steps), final_rule=final_rule, final_outcome=final_outcome
     )
@@ -186,19 +185,19 @@ def amend_iterative(instance: AmendmentInstance) -> AmendmentTrace:
 
 def amend_one_step(instance: AmendmentInstance) -> OneStepReport:
     """Put the stable threshold up against the status quo in a single vote."""
-    n = instance.n
-    stable = h_threshold(instance.peaks, n)
+    stable = h_threshold(instance.peaks, instance.n)
     r = instance.status_quo
     if r >= stable:
         return OneStepReport(
             stable=stable, rule=r, outcome=r, votes=None, accepted_by=None
         )
-    votes = induce_profile(instance.peaks, r, stable, instance.vote_policy)
-    votes_p = sum(1 for v in votes if v == PROPOSAL)
-    winner = stable if supermajority_outcome(r, votes_p, n) == PROPOSAL else r
-    accepted = step_accepted_by(instance.peaks, votes, r, stable, winner)
+    step = _ballot(instance, r, stable)
     return OneStepReport(
-        stable=stable, rule=r, outcome=winner, votes=votes, accepted_by=accepted
+        stable=stable,
+        rule=r,
+        outcome=step.outcome,
+        votes=step.votes,
+        accepted_by=step.accepted_by,
     )
 
 

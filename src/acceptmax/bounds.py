@@ -39,13 +39,13 @@ Neither bound drops a branch holding a smaller minimum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .adc import (
-    OUTCOMES,
     PROPOSAL,
     STATUS_QUO,
     AdcAgent,
@@ -166,6 +166,7 @@ def _ii_threshold_reps(n: int, votes_p: int):
     return reps
 
 
+@functools.cache
 def _realizable_feasible(n: int, votes_p: int, feasible) -> frozenset:
     return frozenset(supermajority_outcome(t, votes_p, n) for t in feasible)
 
@@ -249,24 +250,6 @@ def agent_options(class_id, n, votes_p, vote, feasible=None, k=None):
     ]
 
 
-def enumerate_instances(class_id: str, n: int, k: int | None = None):
-    """Deterministic stream of class instances, without the sweep's reductions.
-
-    Vote vectors are full and agents are ordered; only implementation-
-    indifferent threshold sets are reduced to their representatives.
-    """
-    feasible = frozenset(threshold_family(n))
-    for votes in itertools.product(OUTCOMES, repeat=n):
-        votes_p = sum(1 for v in votes if v == PROPOSAL)
-        per_agent = [
-            agent_options(class_id, n, votes_p, v, feasible, k) for v in votes
-        ]
-        if any(not opts for opts in per_agent):
-            continue
-        for agents in itertools.product(*per_agent):
-            yield AdcInstance(votes=votes, agents=agents, feasible_thresholds=feasible)
-
-
 # ---------------------------------------------------------------------------
 # Worst-case search.
 
@@ -337,13 +320,16 @@ def _branch_and_bound(slots, width, best):
     return best, found, nodes
 
 
-def _min_rate_exhaustive(class_id, n, k):
-    """(min rate, witness, (options, kept, nodes)) over all vote counts.
+def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport:
+    """Exact minimum of the best achievable acceptance rate over an instance class.
 
     The best count carries over from one vote count to the next, so the
     witness is the first minimal multiset at the first vote count that
     reaches the minimum.
     """
+    if class_id not in CLASSES:
+        raise ValidationError(f"unknown class {class_id!r}")
+    formula = table1_formula(class_id, n, k)
     feasible = frozenset(threshold_family(n))
     best, witness = n + 1, None
     options = kept = nodes = 0
@@ -368,22 +354,10 @@ def _min_rate_exhaustive(class_id, n, k):
             votes = (PROPOSAL,) * votes_p + (STATUS_QUO,) * (n - votes_p)
             witness = AdcInstance(votes, agents, feasible)
     observed = None if witness is None else Fraction(best, n)
-    return observed, witness, (options, kept, nodes)
-
-
-def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport:
-    """Exact minimum of the best achievable acceptance rate over an instance class."""
-    if class_id not in CLASSES:
-        raise ValidationError(f"unknown class {class_id!r}")
-    formula = table1_formula(class_id, n, k)
-    observed, witness, counters = _min_rate_exhaustive(class_id, n, k)
     match = observed is None or observed == formula
-    return BoundsReport(class_id, n, k, observed, formula, witness, match, *counters)
-
-
-def verify_row(class_id: str, n_list, k: int | None = None):
-    """Worst-case search per size, compared against the closed form."""
-    return [worst_case_rate(class_id, n, k) for n in n_list]
+    return BoundsReport(
+        class_id, n, k, observed, formula, witness, match, options, kept, nodes
+    )
 
 
 def majority_mechanism_count(instance: AdcInstance) -> int:

@@ -54,10 +54,13 @@ def cmd_bounds(args) -> int:
     for class_id in class_ids:
         if class_id not in bounds.CLASSES:
             raise core.ValidationError(f"unknown class {class_id!r}")
+        for n in args.n:
+            bounds.check_k(class_id, n, args.k)
     all_match = True
     for class_id in class_ids:
         k = args.k if bounds.CLASSES[class_id].needs_k else None
-        for report in bounds.verify_row(class_id, args.n, k):
+        for n in args.n:
+            report = bounds.worst_case_rate(class_id, n, k)
             print(serialize.dumps(serialize.bounds_report_to_dict(report)))
             all_match = all_match and report.match
     return EXIT_OK if all_match else EXIT_MISMATCH
@@ -134,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("path")
     p_solve.add_argument(
         "--mechanism", choices=["auto", "oracle"], default="auto",
-        help="auto: the one-pass tally; oracle: brute force plus the full tally",
+        help="auto: the one-pass tally; oracle: brute force plus the full tally, "
+        "O(agents x feasible decisions), only for cross-checking auto",
     )
     p_solve.set_defaults(func=cmd_solve)
 

@@ -63,7 +63,6 @@ class SatisfyingSpec:
     outcomes: frozenset
     conjunctive: bool = False
     implementation_indifferent: bool = False
-    vote: str | None = None
 
     def is_absolute_disjunctive(self) -> bool:
         return not self.conjunctive and not self.implementation_indifferent
@@ -102,8 +101,6 @@ class GenericInstance:
                 raise ValidationError(f"agent {idx} references unknown rule ids")
             if not agent.outcomes <= outcome_universe:
                 raise ValidationError(f"agent {idx} references unknown outcomes")
-            if agent.vote is not None and agent.vote not in outcome_universe:
-                raise ValidationError(f"agent {idx} vote is not a known outcome")
         if not any(
             r.id in self.feasible_rule_ids and r.value_at_profile in self.feasible_outcomes
             for r in self.rules
@@ -203,7 +200,6 @@ def substitute_absolute_disjunctivist(
         outcomes=new_outcomes,
         conjunctive=False,
         implementation_indifferent=False,
-        vote=agent.vote,
     )
 
 
@@ -240,12 +236,9 @@ def oracle_max_accept(instance: GenericInstance) -> OracleResult:
     The definitional solver ``max_accept`` is checked against. Ties break
     toward the first maximizer in ``feasible_decisions()`` order.
     """
-    decisions = instance.feasible_decisions()
-    if not decisions:
-        raise ValidationError("no feasible decision exists")
     tally = []
     best = None
-    for decision in decisions:
+    for decision in instance.feasible_decisions():
         count = sum(
             1 for agent in instance.agents if accepts(agent, decision, instance)
         )

@@ -192,9 +192,6 @@ def parse_generic(obj) -> core.GenericInstance:
             rule_ids, outcomes = frozenset(rule_ids), frozenset(outcomes)
         except TypeError:
             raise _unhashable(where, R=rule_ids, Y=outcomes) from None
-        vote = a.get("vote")
-        if vote is not None and type(vote) is not str:
-            raise ParseError(f"{where}: field 'vote' must be a string")
         if type_name in _EMPTY_RULES and rule_ids:
             raise ParseError(f"{where}: type {type_name!r} must have no rule set")
         if type_name in _EMPTY_OUTCOMES and outcomes:
@@ -205,7 +202,6 @@ def parse_generic(obj) -> core.GenericInstance:
                 outcomes=outcomes,
                 conjunctive=conj,
                 implementation_indifferent=ii,
-                vote=vote,
             )
         )
     outcomes = _list_field(obj, "outcomes", "generic instance")
@@ -372,7 +368,7 @@ def trace_to_dict(trace: amendment.AmendmentTrace, instance) -> dict:
             "rule": _threshold_fields(trace.final_rule, n),
             "outcome": _threshold_fields(trace.final_outcome, n),
         },
-        "universal": all(len(s.accepted_by) == n for s in trace.steps),
+        "universal": amendment.check_universal_acceptance(trace, instance),
         "n": n,
     }
 

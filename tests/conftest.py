@@ -6,6 +6,7 @@ import itertools
 import random
 
 from acceptmax.adc import OUTCOMES, PROPOSAL, AdcAgent, AdcInstance, threshold_family
+from acceptmax.bounds import agent_options
 from acceptmax.core import GenericInstance, RuleRef, SatisfyingSpec
 
 OUTCOME_UNIVERSE = ("A", "B", "C")
@@ -98,3 +99,21 @@ def homogeneous_suite(n: int, options_for):
                 opts_r, n - votes_p
             ):
                 yield AdcInstance(votes, group_p + group_r, feasible)
+
+
+def enumerate_instances(class_id: str, n: int, k: int | None = None):
+    """Deterministic stream of class instances, without the search's reductions.
+
+    Vote vectors are full and agents are ordered; only implementation-
+    indifferent threshold sets are reduced to their representatives.
+    """
+    feasible = frozenset(threshold_family(n))
+    for votes in itertools.product(OUTCOMES, repeat=n):
+        votes_p = sum(1 for v in votes if v == PROPOSAL)
+        per_agent = [
+            agent_options(class_id, n, votes_p, v, feasible, k) for v in votes
+        ]
+        if any(not opts for opts in per_agent):
+            continue
+        for agents in itertools.product(*per_agent):
+            yield AdcInstance(votes=votes, agents=agents, feasible_thresholds=feasible)

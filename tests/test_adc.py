@@ -21,6 +21,7 @@ from acceptmax.adc import (
     threshold_family,
     threshold_of,
 )
+from acceptmax.bounds import _realizable_feasible
 from acceptmax.core import ValidationError, max_accept, oracle_max_accept
 
 from conftest import random_adc_instance
@@ -102,9 +103,11 @@ class TestInstanceValidation:
 
     def test_realizable_outcomes(self):
         inst = AdcInstance(("p", "p", "r"), (agent(),) * 3)
-        assert inst.realizable_outcomes() == {"p", "r"}
+        assert _realizable_feasible(3, inst.votes_p, inst.feasible_thresholds) == {"p", "r"}
         unanimous = AdcInstance(("p", "p", "p"), (agent(),) * 3)
-        assert unanimous.realizable_outcomes() == {"p"}
+        assert _realizable_feasible(
+            3, unanimous.votes_p, unanimous.feasible_thresholds
+        ) == {"p"}
 
 
 class TestConsequentialists:

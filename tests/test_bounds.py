@@ -22,7 +22,6 @@ from acceptmax.bounds import (
     CLASSES,
     _branch_and_bound,
     class_predicate,
-    enumerate_instances,
     majority_mechanism_count,
     table1_formula,
     worst_case_rate,
@@ -30,7 +29,7 @@ from acceptmax.bounds import (
 from acceptmax.core import ValidationError, max_accept, oracle_max_accept
 from acceptmax.serialize import adc_instance_to_dict, dumps
 
-from conftest import random_adc_instance
+from conftest import enumerate_instances, random_adc_instance
 
 
 def oracle_count(inst):

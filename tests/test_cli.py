@@ -134,6 +134,12 @@ class TestSolve:
         assert payload["count"] == 2
         assert payload["decision"] == {"rule": "r1", "outcome": "A"}
 
+    def test_generic_vote_key_is_ignored(self, capsys, write_json):
+        plain = run_cli(capsys, "solve", write_json(GENERIC))
+        voted = _with_agent(GENERIC, 1, vote=["A"])
+        assert run_cli(capsys, "solve", write_json(voted, "voted.json")) == plain
+        assert plain[0] == 0
+
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -221,6 +227,13 @@ class TestBounds:
     def test_unknown_class_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "no-such-row", "--n", "3")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("k", [[], ["--k", "0"], ["--k", "3"]], ids=["none", "0", "3"])
+    def test_bad_k_exits_2_before_any_row(self, capsys, k):
+        # Every (class, n) is checked before the first row is printed.
+        code, out, err = run_cli(capsys, "bounds", "all", "--n", "3", "--n", "6", *k)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize(
         "extra", [["--mode", "randomized"], ["--samples", "10"], ["--seed", "1"]]
@@ -382,7 +395,6 @@ MALFORMED = {
     "feasible_t string": ({**ADC_II_DISJ, "feasible_t": ["2"]}, "feasible thresholds"),
     "generic Y nested": (_with_agent(GENERIC, 1, Y=[["a"]]), "field 'Y' holds a list"),
     "generic type list": (_with_agent(GENERIC, 0, type=["x"]), "unknown agent type"),
-    "generic vote list": (_with_agent(GENERIC, 1, vote=["A"]), "'vote' must be a string"),
     "generic outcome number": ({**GENERIC, "outcomes": ["A", 2]}, "'outcomes' must list strings"),
     "generic rule id list": (
         {**GENERIC, "rules": [{"id": ["r1"], "value": "A"}]},

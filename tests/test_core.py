@@ -33,13 +33,12 @@ def make_instance(agents, rules=None, outcomes=("A", "B", "C")):
     )
 
 
-def spec(R=(), Y=(), conjunctive=False, ii=False, vote=None):
+def spec(R=(), Y=(), conjunctive=False, ii=False):
     return SatisfyingSpec(
         rule_ids=frozenset(R),
         outcomes=frozenset(Y),
         conjunctive=conjunctive,
         implementation_indifferent=ii,
-        vote=vote,
     )
 
 
