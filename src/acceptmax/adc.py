@@ -56,8 +56,16 @@ def supermajority_outcome(t: int, votes_p: int, n: int) -> str:
     return PROPOSAL if votes_p >= t else STATUS_QUO
 
 
-def rule_id(t: int) -> str:
-    return f"t{t}"
+@lru_cache(maxsize=None)
+def _rule_ids(n: int) -> dict:
+    """Threshold -> rule id ``t<t>`` for every ``t`` in ``[1, n]``, one string object each.
+
+    The bridge takes every id from here, so it builds no string per agent and
+    the rule universe, the agents' sets and the feasible set share the same
+    objects: set and dict lookups reuse each string's cached hash. The cached
+    dict is shared by every caller, so it is only read.
+    """
+    return {t: f"t{t}" for t in range(1, n + 1)}
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,7 @@ class AdcInstance:
                 self, "feasible_thresholds", frozenset(threshold_family(n))
             )
         family = set(threshold_family(n))
+        outcome_universe = set(OUTCOMES)
         if (
             not self.feasible_thresholds
             or not set(self.feasible_thresholds) <= family
@@ -105,7 +114,7 @@ class AdcInstance:
         if len(self.agents) != n:
             raise ValidationError("agent count must match vote count")
         for idx, agent in enumerate(self.agents):
-            if not agent.outcomes <= set(OUTCOMES):
+            if not agent.outcomes <= outcome_universe:
                 raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
             if any(type(t) is not int or not 1 <= t <= n for t in agent.thresholds):
                 raise ValidationError(f"agent {idx} thresholds must be integers in [1, {n}]")
@@ -148,8 +157,7 @@ def adc_decisions(n: int, votes_p: int, feasible) -> list:
 @lru_cache(maxsize=None)
 def _rule_universe(n: int, votes_p: int) -> tuple:
     return tuple(
-        RuleRef(rule_id(t), supermajority_outcome(t, votes_p, n))
-        for t in range(1, n + 1)
+        RuleRef(rid, supermajority_outcome(t, votes_p, n)) for t, rid in _rule_ids(n).items()
     )
 
 
@@ -163,9 +171,10 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
     numeric order.
     """
     n = instance.n
+    ids = _rule_ids(n)
     agents = tuple(
         SatisfyingSpec(
-            rule_ids=frozenset(rule_id(t) for t in a.thresholds),
+            rule_ids=frozenset(map(ids.__getitem__, a.thresholds)),
             outcomes=a.outcomes,
             conjunctive=a.conjunctive,
             implementation_indifferent=a.implementation_indifferent,
@@ -176,6 +185,6 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
         outcomes=(STATUS_QUO, PROPOSAL),
         rules=_rule_universe(n, instance.votes_p),
         feasible_outcomes=frozenset(OUTCOMES),
-        feasible_rule_ids=frozenset(rule_id(t) for t in instance.feasible_thresholds),
+        feasible_rule_ids=frozenset(map(ids.__getitem__, instance.feasible_thresholds)),
         agents=agents,
     )

@@ -81,24 +81,28 @@ def _gen_adc(class_id, n, rng, k):
 
 
 def cmd_gen(args) -> int:
+    """``--count`` instances for each ``--n`` in the order given (n = 4 without one)."""
     rng = random.Random(args.seed)
-    n = args.n[0] if args.n else 4
+    sizes = args.n or [4]
     if args.class_id == "amendment":
-        family = list(adc.threshold_family(n))
-        for _ in range(args.count):
-            instance = amendment.AmendmentInstance(
-                peaks=tuple(rng.choice(family) for _ in range(n)),
-                status_quo=rng.choice(family),
-            )
-            print(serialize.dumps(serialize.amendment_instance_to_dict(instance)))
+        for n in sizes:
+            family = list(adc.threshold_family(n))
+            for _ in range(args.count):
+                instance = amendment.AmendmentInstance(
+                    peaks=tuple(rng.choice(family) for _ in range(n)),
+                    status_quo=rng.choice(family),
+                )
+                print(serialize.dumps(serialize.amendment_instance_to_dict(instance)))
         return EXIT_OK
     if args.class_id not in bounds.CLASSES:
         raise core.ValidationError(f"unknown class {args.class_id!r}")
     k = args.k if bounds.CLASSES[args.class_id].needs_k else None
-    bounds.check_k(args.class_id, n, k)
-    for _ in range(args.count):
-        instance = _gen_adc(args.class_id, n, rng, k)
-        print(serialize.dumps(serialize.adc_instance_to_dict(instance)))
+    for n in sizes:
+        bounds.check_k(args.class_id, n, k)
+    for n in sizes:
+        for _ in range(args.count):
+            instance = _gen_adc(args.class_id, n, rng, k)
+            print(serialize.dumps(serialize.adc_instance_to_dict(instance)))
     return EXIT_OK
 
 

@@ -177,50 +177,47 @@ def make_report(instance: GenericInstance, decision: Decision) -> SolveReport:
 
 def substitute_absolute_disjunctivist(
     agent: SatisfyingSpec, instance: GenericInstance
-) -> SatisfyingSpec:
-    """Absolute-disjunctive spec accepting the same decisions of the observed profile.
+) -> tuple:
+    """The sets (R', Y') of the absolute disjunctivist accepting the same decisions.
 
+    On the observed profile, the absolute-disjunctive agent with acceptable
+    rules R' and outcomes Y' accepts exactly the decisions ``agent`` accepts.
     Implementation-indifferent rule concerns collapse into the outcomes those
     rules realize on the profile; conjunctive rule sets are filtered down to
     the rules whose realized outcome is itself acceptable.
     """
     if agent.is_absolute_disjunctive():
-        return agent
+        return agent.rule_ids, agent.outcomes
     values = instance.rule_value
     realized = frozenset(values[rid] for rid in agent.rule_ids)
     if agent.implementation_indifferent and not agent.conjunctive:
-        new_rules, new_outcomes = frozenset(), agent.outcomes | realized
-    elif agent.implementation_indifferent and agent.conjunctive:
-        new_rules, new_outcomes = frozenset(), agent.outcomes & realized
-    else:  # absolute conjunctive
-        new_rules = frozenset(rid for rid in agent.rule_ids if values[rid] in agent.outcomes)
-        new_outcomes = frozenset()
-    return SatisfyingSpec(
-        rule_ids=new_rules,
-        outcomes=new_outcomes,
-        conjunctive=False,
-        implementation_indifferent=False,
-    )
+        return frozenset(), agent.outcomes | realized
+    if agent.implementation_indifferent and agent.conjunctive:
+        return frozenset(), agent.outcomes & realized
+    # absolute conjunctive
+    rule_ids = frozenset(rid for rid in agent.rule_ids if values[rid] in agent.outcomes)
+    return rule_ids, frozenset()
 
 
 def max_accept(instance: GenericInstance) -> SolveReport:
     """Best feasible decision for any mix of agent types.
 
-    Each agent is replaced by the absolute disjunctivist (Y', R') that
+    Each agent is replaced by the absolute disjunctivist (R', Y') that
     accepts the same decisions, so a decision (r, y) is accepted by
     |{i : y in Y'_i}| + |{i : y not in Y'_i, r in R'_i}| agents. Both terms
-    are tallied in one pass over the agents. Ties go to the first
-    maximizer in ``feasible_decisions()`` order, as in the oracle.
+    are tallied in one pass over the agents, straight from the two sets.
+    Ties go to the first maximizer in ``feasible_decisions()`` order, as in
+    the oracle.
     """
     values = instance.rule_value
     outcome_count = dict.fromkeys(instance.outcomes, 0)
     rule_count = dict.fromkeys(values, 0)
     for agent in instance.agents:
-        sub = substitute_absolute_disjunctivist(agent, instance)
-        for y in sub.outcomes:
+        rule_ids, outcomes = substitute_absolute_disjunctivist(agent, instance)
+        for y in outcomes:
             outcome_count[y] += 1
-        for rid in sub.rule_ids:
-            if values[rid] not in sub.outcomes:
+        for rid in rule_ids:
+            if values[rid] not in outcomes:
                 rule_count[rid] += 1
     best, best_count = None, -1
     for decision in instance.feasible_decisions():

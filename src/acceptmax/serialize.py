@@ -34,11 +34,13 @@ _EMPTY_OUTCOMES = ("absolute_proceduralist", "ii_proceduralist")
 
 # Type checks are inline ``isinstance`` tests that call these only to build
 # the error: fields are read once per agent, so one more call per field is a
-# measurable share of parsing a large electorate. Element types are checked
-# where a pass over the elements already happens: ``frozenset`` builds are
-# wrapped in ``try`` (an unhashable element raises TypeError), adc thresholds
-# are type-checked with their range in ``AdcInstance``, and an agent's ids and
-# outcomes must lie in universes of strings checked once per instance.
+# measurable share of parsing a large electorate. For the same reason an
+# agent's location string is built only on its error path. Element types are
+# checked where a pass over the elements already happens: ``frozenset``
+# builds are wrapped in ``try`` (an unhashable element raises TypeError), adc
+# thresholds are type-checked with their range in ``AdcInstance``, and an
+# agent's ids and outcomes must lie in universes of strings checked once per
+# instance.
 
 
 def _not_object(obj, where) -> ParseError:
@@ -80,11 +82,22 @@ def _int_field(obj, key, where) -> int:
     return value
 
 
-def _agent_flags(type_name, where):
+def _agent_head(obj, i, *keys):
+    """Agent ``i``'s type name, its flags and the values of ``keys``, each failure located.
+
+    The parsers read these fields directly and call this only when that read
+    fails, so the location string is built only for a bad agent. The checks
+    run in a fixed order: an object, a 'type' field, a known type, ``keys``.
+    """
+    where = f"agents[{i}]"
+    if not isinstance(obj, dict):
+        raise _not_object(obj, where)
+    type_name = _field(obj, "type", where)
     try:
-        return AGENT_TYPES[type_name]
+        flags = AGENT_TYPES[type_name]
     except (KeyError, TypeError):
         raise ParseError(f"{where}: unknown agent type {type_name!r}") from None
+    return type_name, flags, [_field(obj, key, where) for key in keys]
 
 
 def fraction_to_dict(value: Fraction) -> dict:
@@ -116,24 +129,26 @@ def fraction_from_obj(obj, where) -> Fraction:
 
 
 def _parse_adc_agent(obj, i, n):
-    where = f"agents[{i}]"
-    if not isinstance(obj, dict):
-        raise _not_object(obj, where)
-    type_name = _field(obj, "type", where)
-    conj, ii = _agent_flags(type_name, where)
-    outcomes, r_t, r_delta = _field(obj, "Y", where), obj.get("R_t", []), obj.get("R_delta", [])
+    try:
+        type_name = obj["type"]
+        conj, ii = AGENT_TYPES[type_name]
+        outcomes = obj["Y"]
+    except (KeyError, TypeError):
+        type_name, (conj, ii), (outcomes,) = _agent_head(obj, i, "Y")
+    r_t, r_delta = obj.get("R_t", []), obj.get("R_delta", [])
     if not (isinstance(outcomes, list) and isinstance(r_t, list) and isinstance(r_delta, list)):
-        raise _not_list(where, Y=outcomes, R_t=r_t, R_delta=r_delta)
+        raise _not_list(f"agents[{i}]", Y=outcomes, R_t=r_t, R_delta=r_delta)
     try:
         outcomes, thresholds = frozenset(outcomes), frozenset(r_t)
     except TypeError:
-        raise _unhashable(where, Y=outcomes, R_t=r_t) from None
+        raise _unhashable(f"agents[{i}]", Y=outcomes, R_t=r_t) from None
     if r_delta:
+        where = f"agents[{i}]"
         thresholds |= {adc.threshold_of(fraction_from_obj(d, where), n) for d in r_delta}
     if type_name in _EMPTY_RULES and thresholds:
-        raise ParseError(f"{where}: type {type_name!r} must have no rule set")
+        raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
     if type_name in _EMPTY_OUTCOMES and outcomes:
-        raise ParseError(f"{where}: type {type_name!r} must have no outcome set")
+        raise ParseError(f"agents[{i}]: type {type_name!r} must have no outcome set")
     return adc.AdcAgent(
         thresholds=thresholds,
         outcomes=outcomes,
@@ -180,22 +195,22 @@ def parse_generic(obj) -> core.GenericInstance:
     rules = tuple(rules)
     agents = []
     for i, a in enumerate(_list_field(obj, "agents", "generic instance")):
-        where = f"agents[{i}]"
-        if not isinstance(a, dict):
-            raise _not_object(a, where)
-        type_name = _field(a, "type", where)
-        conj, ii = _agent_flags(type_name, where)
+        try:
+            type_name = a["type"]
+            conj, ii = AGENT_TYPES[type_name]
+        except (KeyError, TypeError):
+            type_name, (conj, ii), _ = _agent_head(a, i)
         rule_ids, outcomes = a.get("R", []), a.get("Y", [])
         if not (isinstance(rule_ids, list) and isinstance(outcomes, list)):
-            raise _not_list(where, R=rule_ids, Y=outcomes)
+            raise _not_list(f"agents[{i}]", R=rule_ids, Y=outcomes)
         try:
             rule_ids, outcomes = frozenset(rule_ids), frozenset(outcomes)
         except TypeError:
-            raise _unhashable(where, R=rule_ids, Y=outcomes) from None
+            raise _unhashable(f"agents[{i}]", R=rule_ids, Y=outcomes) from None
         if type_name in _EMPTY_RULES and rule_ids:
-            raise ParseError(f"{where}: type {type_name!r} must have no rule set")
+            raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
         if type_name in _EMPTY_OUTCOMES and outcomes:
-            raise ParseError(f"{where}: type {type_name!r} must have no outcome set")
+            raise ParseError(f"agents[{i}]: type {type_name!r} must have no outcome set")
         agents.append(
             core.SatisfyingSpec(
                 rule_ids=rule_ids,

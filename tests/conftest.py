@@ -7,7 +7,12 @@ import random
 
 from acceptmax.adc import OUTCOMES, PROPOSAL, AdcAgent, AdcInstance, threshold_family
 from acceptmax.bounds import agent_options
-from acceptmax.core import GenericInstance, RuleRef, SatisfyingSpec
+from acceptmax.core import (
+    GenericInstance,
+    RuleRef,
+    SatisfyingSpec,
+    substitute_absolute_disjunctivist,
+)
 
 OUTCOME_UNIVERSE = ("A", "B", "C")
 TYPE_FLAGS = [
@@ -55,6 +60,12 @@ def random_generic_instance(rng: random.Random) -> GenericInstance:
         feasible_rule_ids=feasible_rule_ids,
         agents=tuple(agents),
     )
+
+
+def substituted(agent: SatisfyingSpec, instance: GenericInstance) -> SatisfyingSpec:
+    """The substitute (R', Y') as an absolute-disjunctive spec, for ``core.accepts``."""
+    rule_ids, outcomes = substitute_absolute_disjunctivist(agent, instance)
+    return SatisfyingSpec(rule_ids=rule_ids, outcomes=outcomes)
 
 
 def random_adc_instance(rng: random.Random, n: int, kind: str) -> AdcInstance:

@@ -45,10 +45,9 @@ from acceptmax.core import (
     accepts,
     max_accept,
     oracle_max_accept,
-    substitute_absolute_disjunctivist,
 )
 
-from conftest import homogeneous_suite, random_generic_instance
+from conftest import homogeneous_suite, random_generic_instance, substituted
 
 
 @pytest.fixture
@@ -138,7 +137,7 @@ def test_criterion_3_substitution_equivalence(report_line):
         inst = random_generic_instance(random.Random(seed))
         decisions = inst.feasible_decisions()
         for agent in inst.agents:
-            sub = substitute_absolute_disjunctivist(agent, inst)
+            sub = substituted(agent, inst)
             if any(
                 accepts(agent, d, inst) != accepts(sub, d, inst) for d in decisions
             ):

@@ -259,3 +259,22 @@ def test_mechanism_count_equals_oracle(seed, n, kind):
 def test_bridge_oracle_agrees_with_fast_oracle(seed, n, kind):
     inst = random_adc_instance(random.Random(seed), n, kind)
     assert threshold_oracle_count(inst) == oracle_count(inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=2, max_value=9),
+    st.sampled_from(KINDS),
+)
+def test_bridge_rule_ids_name_thresholds(seed, n, kind):
+    rng = random.Random(seed)
+    inst = random_adc_instance(rng, n, kind)
+    family = list(threshold_family(n))
+    feasible = frozenset(rng.sample(family, rng.randint(1, len(family))))
+    inst = AdcInstance(inst.votes, inst.agents, feasible)
+    generic = adc_to_generic(inst)
+    assert [r.id for r in generic.rules] == [f"t{t}" for t in range(1, n + 1)]
+    for adc_agent, spec in zip(inst.agents, generic.agents):
+        assert spec.rule_ids == {f"t{t}" for t in adc_agent.thresholds}
+    assert generic.feasible_rule_ids == {f"t{t}" for t in feasible}

@@ -304,6 +304,20 @@ class TestGen:
         assert exc.value.code == 2
         assert "instance count must be at least 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("class_id", ["any-none", "amendment"])
+    def test_count_instances_per_size_in_order(self, capsys, class_id):
+        code, out, _ = run_cli(
+            capsys, "gen", class_id, "--n", "3", "--n", "5", "--n", "3", "--count", "2"
+        )
+        assert code == 0
+        assert [json.loads(line)["n"] for line in out.splitlines()] == [3, 3, 5, 5, 3, 3]
+
+    def test_bad_k_for_any_size_exits_2_before_any_instance(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gen", "abs-disj-k", "--n", "5", "--n", "2", "--k", "2"
+        )
+        assert (code, out) == (2, "") and err.startswith("error:")
+
     def test_zero_count_prints_nothing(self, capsys):
         assert run_cli(capsys, "gen", "amendment", "--count", "0") == (0, "", "")
 
@@ -370,6 +384,23 @@ def _with_agent(payload, i, **fields):
     return out
 
 
+def _without_field(payload, i, key):
+    out = copy.deepcopy(payload)
+    del out["agents"][i][key]
+    return out
+
+
+def _agent_replaced(payload, i, value):
+    out = copy.deepcopy(payload)
+    out["agents"][i] = value
+    return out
+
+
+def _error_line(message):
+    """The whole stderr line: a case given this pins its message exactly."""
+    return f"error: {message}\n"
+
+
 MALFORMED = {
     "R_t string": (_with_agent(ADC_II_DISJ, 0, R_t=["2"]), "thresholds must be integers"),
     "R_t bool": (_with_agent(ADC_II_DISJ, 0, R_t=[True]), "thresholds must be integers"),
@@ -403,6 +434,54 @@ MALFORMED = {
     "generic feasible nested": (
         {**GENERIC, "feasible_rules": [["r1"]]},
         "'feasible_rules' holds a list",
+    ),
+    "adc agent missing type": (
+        _without_field(ADC_II_DISJ, 2, "type"),
+        _error_line("agents[2]: missing field 'type'"),
+    ),
+    "adc agent missing Y": (
+        _without_field(ADC_II_DISJ, 2, "Y"),
+        _error_line("agents[2]: missing field 'Y'"),
+    ),
+    "adc agent unknown type": (
+        _with_agent(ADC_II_DISJ, 2, type="dictator"),
+        _error_line("agents[2]: unknown agent type 'dictator'"),
+    ),
+    "adc agent unknown type before missing Y": (
+        _without_field(_with_agent(ADC_II_DISJ, 2, type="dictator"), 2, "Y"),
+        _error_line("agents[2]: unknown agent type 'dictator'"),
+    ),
+    "adc consequentialist with R_t": (
+        _with_agent(ADC_CONSEQ, 1, R_t=[2]),
+        _error_line("agents[1]: type 'consequentialist' must have no rule set"),
+    ),
+    "adc proceduralist with Y": (
+        _with_agent(ADC_T9_T10_TIE, 3, Y=["p"]),
+        _error_line("agents[3]: type 'absolute_proceduralist' must have no outcome set"),
+    ),
+    "adc agent not an object": (
+        _agent_replaced(ADC_II_DISJ, 2, 5),
+        _error_line("agents[2]: expected an object, got int"),
+    ),
+    "generic agent missing type": (
+        _without_field(GENERIC, 1, "type"),
+        _error_line("agents[1]: missing field 'type'"),
+    ),
+    "generic agent unknown type": (
+        _with_agent(GENERIC, 1, type="dictator"),
+        _error_line("agents[1]: unknown agent type 'dictator'"),
+    ),
+    "generic consequentialist with R": (
+        _with_agent(GENERIC, 1, R=["r1"]),
+        _error_line("agents[1]: type 'consequentialist' must have no rule set"),
+    ),
+    "generic proceduralist with Y": (
+        _with_agent(GENERIC, 1, type="ii_proceduralist"),
+        _error_line("agents[1]: type 'ii_proceduralist' must have no outcome set"),
+    ),
+    "generic agent not an object": (
+        _agent_replaced(GENERIC, 1, "agent"),
+        _error_line("agents[1]: expected an object, got str"),
     ),
     "amendment n string": ({**AMENDMENT, "n": "5"}, "field 'n' must be an integer"),
     "amendment peak string": (

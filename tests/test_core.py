@@ -19,7 +19,7 @@ from acceptmax.core import (
     substitute_absolute_disjunctivist,
 )
 
-from conftest import random_adc_instance, random_generic_instance
+from conftest import random_adc_instance, random_generic_instance, substituted
 
 
 def make_instance(agents, rules=None, outcomes=("A", "B", "C")):
@@ -145,23 +145,23 @@ class TestSubstitution:
     def test_absolute_disjunctive_is_identity(self):
         inst = make_instance([spec(R={"r1"}, Y={"B"})])
         agent = inst.agents[0]
-        assert substitute_absolute_disjunctivist(agent, inst) is agent
+        rule_ids, outcomes = substitute_absolute_disjunctivist(agent, inst)
+        assert rule_ids is agent.rule_ids and outcomes is agent.outcomes
 
     def test_ii_disjunctive_collapses_to_realized(self):
         inst = make_instance([spec(R={"r2"}, Y={"A"}, ii=True)])
-        sub = substitute_absolute_disjunctivist(inst.agents[0], inst)
-        assert sub.outcomes == {"A", "B"} and not sub.rule_ids
-        assert sub.is_absolute_disjunctive()
+        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst)
+        assert outcomes == {"A", "B"} and not rule_ids
 
     def test_ii_conjunctive_intersects_realized(self):
         inst = make_instance([spec(R={"r2"}, Y={"A"}, conjunctive=True, ii=True)])
-        sub = substitute_absolute_disjunctivist(inst.agents[0], inst)
-        assert sub.outcomes == frozenset() and not sub.rule_ids
+        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst)
+        assert outcomes == frozenset() and not rule_ids
 
     def test_absolute_conjunctive_filters_rules(self):
         inst = make_instance([spec(R={"r1", "r2"}, Y={"A"}, conjunctive=True)])
-        sub = substitute_absolute_disjunctivist(inst.agents[0], inst)
-        assert sub.rule_ids == {"r1"} and not sub.outcomes
+        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst)
+        assert rule_ids == {"r1"} and not outcomes
 
 
 class TestMechanisms:
@@ -179,10 +179,8 @@ class TestMechanisms:
             spec(Y={"B"}),
         )
         inst = make_instance(agents)
-        substituted = make_instance(
-            [substitute_absolute_disjunctivist(a, inst) for a in agents]
-        )
-        assert max_accept(inst) == max_accept(substituted)
+        substitutes = make_instance([substituted(a, inst) for a in agents])
+        assert max_accept(inst) == max_accept(substitutes)
 
     def test_all_types_mixed_matches_oracle(self):
         agents = (
@@ -250,7 +248,7 @@ instances = st.integers(min_value=0, max_value=10**9).map(
 @given(instances)
 def test_substitution_preserves_acceptance(inst):
     for agent in inst.agents:
-        sub = substitute_absolute_disjunctivist(agent, inst)
+        sub = substituted(agent, inst)
         for d in inst.feasible_decisions():
             assert accepts(agent, d, inst) == accepts(sub, d, inst)
 
@@ -259,8 +257,8 @@ def test_substitution_preserves_acceptance(inst):
 @given(instances)
 def test_substitution_idempotent(inst):
     for agent in inst.agents:
-        sub = substitute_absolute_disjunctivist(agent, inst)
-        assert substitute_absolute_disjunctivist(sub, inst) == sub
+        sub = substituted(agent, inst)
+        assert substituted(sub, inst) == sub
 
 
 @settings(max_examples=300, deadline=None)
