@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 
 from .core import GenericInstance, RuleRef, SatisfyingSpec, ValidationError
 
@@ -97,14 +98,13 @@ class AdcInstance:
         n = len(self.votes)
         if n == 0:
             raise ValidationError("instance has no votes")
-        if any(v not in OUTCOMES for v in self.votes):
+        if not all(map(OUTCOMES.__contains__, self.votes)):
             raise ValidationError("votes must be 'r' or 'p'")
         if self.feasible_thresholds is None:
             object.__setattr__(
                 self, "feasible_thresholds", frozenset(threshold_family(n))
             )
         family = set(threshold_family(n))
-        outcome_universe = set(OUTCOMES)
         if (
             not self.feasible_thresholds
             or not set(self.feasible_thresholds) <= family
@@ -113,7 +113,23 @@ class AdcInstance:
             raise ValidationError("feasible thresholds must be a nonempty family subset")
         if len(self.agents) != n:
             raise ValidationError("agent count must match vote count")
-        for idx, agent in enumerate(self.agents):
+        # The whole instance is checked at once; only if that fails does the
+        # per-agent loop run, to name the first bad agent. Types are checked
+        # per element: a union keeps one of the equal ``1``, ``1.0`` and ``True``.
+        agents = self.agents
+        outcome_universe = set(OUTCOMES)
+        thresholds = [a.thresholds for a in agents]
+        union = set().union(*thresholds)
+        if (
+            set(map(type, chain.from_iterable(thresholds))) <= {int}
+            and set().union(*[a.outcomes for a in agents]) <= outcome_universe
+            and (not union or (min(union) >= 1 and max(union) <= n))
+            and set().union(
+                *[a.thresholds for a in agents if not a.implementation_indifferent]
+            ) <= family
+        ):
+            return
+        for idx, agent in enumerate(agents):
             if not agent.outcomes <= outcome_universe:
                 raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
             if any(type(t) is not int or not 1 <= t <= n for t in agent.thresholds):
@@ -131,7 +147,7 @@ class AdcInstance:
 
     @cached_property
     def votes_p(self) -> int:
-        return sum(1 for v in self.votes if v == PROPOSAL)
+        return self.votes.count(PROPOSAL)
 
 
 def adc_accepts(agent: AdcAgent, t: int, outcome: str, votes_p: int) -> bool:
@@ -155,10 +171,23 @@ def adc_decisions(n: int, votes_p: int, feasible) -> list:
 
 
 @lru_cache(maxsize=None)
-def _rule_universe(n: int, votes_p: int) -> tuple:
-    return tuple(
-        RuleRef(rid, supermajority_outcome(t, votes_p, n)) for t, rid in _rule_ids(n).items()
+def _rules_by_outcome(n: int) -> tuple:
+    """Two tuples of ``RuleRef``: every ``t`` in ``[1, n]`` selecting ``p``, then ``r``.
+
+    The rule of threshold ``t`` selects ``p`` exactly when ``t <= votes_p``,
+    so one pair per n serves every vote count.
+    """
+    ids = _rule_ids(n)
+    return (
+        tuple(RuleRef(rid, PROPOSAL) for rid in ids.values()),
+        tuple(RuleRef(rid, STATUS_QUO) for rid in ids.values()),
     )
+
+
+def _rule_universe(n: int, votes_p: int) -> tuple:
+    """The rule of every threshold ``t`` in ``[1, n]`` in ascending order, valued at ``votes_p``."""
+    chooses_p, chooses_r = _rules_by_outcome(n)
+    return chooses_p[:votes_p] + chooses_r[votes_p:]
 
 
 def adc_to_generic(instance: AdcInstance) -> GenericInstance:
@@ -168,7 +197,8 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
     including sub-majority ones; only the instance's feasible family
     members are feasible rules. The declared orders set the tie-break:
     the status quo before the proposal, then thresholds in ascending
-    numeric order.
+    numeric order. The result is valid by construction, because ``instance``
+    was validated, so it is built with ``GenericInstance.trusted``.
     """
     n = instance.n
     ids = _rule_ids(n)
@@ -181,7 +211,7 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
         )
         for a in instance.agents
     )
-    return GenericInstance(
+    return GenericInstance.trusted(
         outcomes=(STATUS_QUO, PROPOSAL),
         rules=_rule_universe(n, instance.votes_p),
         feasible_outcomes=frozenset(OUTCOMES),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import random
 import sys
 
@@ -22,18 +23,37 @@ EXIT_INPUT = 2
 
 
 def cmd_solve(args) -> int:
-    instance = serialize.load_instance(args.path)
-    if isinstance(instance, amendment.AmendmentInstance):
-        raise serialize.ParseError("solve expects an adc or generic instance")
-    adc_n = instance.n if isinstance(instance, adc.AdcInstance) else None
-    generic = adc.adc_to_generic(instance) if adc_n is not None else instance
-    if args.mechanism == "oracle":
-        payload = serialize.oracle_result_to_dict(
-            core.oracle_max_accept(generic), generic.n, adc_n
-        )
-    else:
-        payload = serialize.solve_report_to_dict(core.max_accept(generic), generic.n, adc_n)
-    print(serialize.dumps(payload))
+    """Solve one instance file, with the cyclic garbage collector paused.
+
+    Loading, bridging and tallying a large electorate allocates several
+    objects per agent, and each allocation threshold crossed makes the
+    collector rescan every live agent. The pause is safe because this path
+    creates no reference cycles: after a warm call, ``gc.collect()`` finds
+    nothing to free (``tests/test_cli.py`` checks this). The collector is
+    re-enabled afterwards only if it was enabled before, also when the input
+    is rejected. ``bounds`` is not paused: its recursive search leaves
+    thousands of cyclic objects per run, and pausing it raised peak memory.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        instance = serialize.load_instance(args.path)
+        if isinstance(instance, amendment.AmendmentInstance):
+            raise serialize.ParseError("solve expects an adc or generic instance")
+        adc_n = instance.n if isinstance(instance, adc.AdcInstance) else None
+        generic = adc.adc_to_generic(instance) if adc_n is not None else instance
+        if args.mechanism == "oracle":
+            payload = serialize.oracle_result_to_dict(
+                core.oracle_max_accept(generic), generic.n, adc_n
+            )
+        else:
+            payload = serialize.solve_report_to_dict(
+                core.max_accept(generic), generic.n, adc_n
+            )
+        print(serialize.dumps(payload))
+    finally:
+        if was_enabled:
+            gc.enable()
     return EXIT_OK
 
 

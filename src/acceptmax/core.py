@@ -107,6 +107,24 @@ class GenericInstance:
         ):
             raise ValidationError("no feasible decision exists")
 
+    @classmethod
+    def trusted(cls, outcomes, rules, feasible_outcomes, feasible_rule_ids, agents):
+        """An instance built without ``__post_init__``'s checks.
+
+        Only for callers whose instance is valid by construction, such as
+        ``adc.adc_to_generic``: it bridges an already validated ``AdcInstance``,
+        so checking every agent again would pay twice for the same facts.
+        """
+        instance = object.__new__(cls)
+        vars(instance).update(
+            outcomes=outcomes,
+            rules=rules,
+            feasible_outcomes=feasible_outcomes,
+            feasible_rule_ids=feasible_rule_ids,
+            agents=agents,
+        )
+        return instance
+
     @cached_property
     def rule_value(self) -> dict:
         return {r.id: r.value_at_profile for r in self.rules}
@@ -115,8 +133,8 @@ class GenericInstance:
     def n(self) -> int:
         return len(self.agents)
 
-    def feasible_decisions(self) -> list:
-        """All feasible decisions in tie-break order.
+    def _feasible_rules(self) -> list:
+        """The feasible rules whose outcome is feasible, in tie-break order.
 
         Outcomes come in the order ``outcomes`` declares them and, within
         one outcome, rules in the order ``rules`` declares them. Both
@@ -125,10 +143,12 @@ class GenericInstance:
         by_outcome = {y: [] for y in self.outcomes if y in self.feasible_outcomes}
         for r in self.rules:
             if r.id in self.feasible_rule_ids and r.value_at_profile in by_outcome:
-                by_outcome[r.value_at_profile].append(
-                    Decision(rule=r, outcome=r.value_at_profile)
-                )
-        return [d for decisions in by_outcome.values() for d in decisions]
+                by_outcome[r.value_at_profile].append(r)
+        return [r for rules in by_outcome.values() for r in rules]
+
+    def feasible_decisions(self) -> list:
+        """All feasible decisions in tie-break order (see ``_feasible_rules``)."""
+        return [Decision(rule=r, outcome=r.value_at_profile) for r in self._feasible_rules()]
 
 
 @dataclass(frozen=True)
@@ -163,16 +183,21 @@ def accepts(agent: SatisfyingSpec, decision: Decision, instance: GenericInstance
     return outcome_ok or rule_ok
 
 
-def make_report(instance: GenericInstance, decision: Decision) -> SolveReport:
-    accepted = frozenset(
-        i for i, agent in enumerate(instance.agents) if accepts(agent, decision, instance)
-    )
+def _report(instance: GenericInstance, decision: Decision, accepted: frozenset) -> SolveReport:
     return SolveReport(
         decision=decision,
         accepted_by=accepted,
         acceptance_count=len(accepted),
         acceptance_rate=Fraction(len(accepted), instance.n),
     )
+
+
+def make_report(instance: GenericInstance, decision: Decision) -> SolveReport:
+    """The report for ``decision``, deciding each agent with ``accepts``."""
+    accepted = frozenset(
+        i for i, agent in enumerate(instance.agents) if accepts(agent, decision, instance)
+    )
+    return _report(instance, decision, accepted)
 
 
 def substitute_absolute_disjunctivist(
@@ -208,23 +233,32 @@ def max_accept(instance: GenericInstance) -> SolveReport:
     are tallied in one pass over the agents, straight from the two sets.
     Ties go to the first maximizer in ``feasible_decisions()`` order, as in
     the oracle.
+
+    The report comes from the same substituted pairs: agent i accepts the
+    winner (r, y) exactly when y is in Y'_i or r is in R'_i. So no agent is
+    decided twice, and only the winner becomes a ``Decision``. The oracle
+    decides each agent with ``accepts`` instead, and stays independent.
     """
     values = instance.rule_value
     outcome_count = dict.fromkeys(instance.outcomes, 0)
     rule_count = dict.fromkeys(values, 0)
-    for agent in instance.agents:
-        rule_ids, outcomes = substitute_absolute_disjunctivist(agent, instance)
+    pairs = [substitute_absolute_disjunctivist(agent, instance) for agent in instance.agents]
+    for rule_ids, outcomes in pairs:
         for y in outcomes:
             outcome_count[y] += 1
         for rid in rule_ids:
             if values[rid] not in outcomes:
                 rule_count[rid] += 1
     best, best_count = None, -1
-    for decision in instance.feasible_decisions():
-        count = outcome_count[decision.outcome] + rule_count[decision.rule.id]
+    for rule in instance._feasible_rules():
+        count = outcome_count[rule.value_at_profile] + rule_count[rule.id]
         if count > best_count:
-            best, best_count = decision, count
-    return make_report(instance, best)
+            best, best_count = rule, count
+    rid, y = best.id, best.value_at_profile
+    accepted = frozenset(
+        i for i, (rule_ids, outcomes) in enumerate(pairs) if y in outcomes or rid in rule_ids
+    )
+    return _report(instance, Decision(rule=best, outcome=y), accepted)
 
 
 def oracle_max_accept(instance: GenericInstance) -> OracleResult:

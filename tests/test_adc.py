@@ -14,6 +14,8 @@ from acceptmax.adc import (
     AdcInstance,
     adc_accepts,
     adc_decisions,
+    _rule_universe,
+    _rules_by_outcome,
     adc_to_generic,
     delta_of,
     majority_threshold,
@@ -22,7 +24,13 @@ from acceptmax.adc import (
     threshold_of,
 )
 from acceptmax.bounds import _realizable_feasible
-from acceptmax.core import ValidationError, max_accept, oracle_max_accept
+from acceptmax.core import (
+    GenericInstance,
+    RuleRef,
+    ValidationError,
+    max_accept,
+    oracle_max_accept,
+)
 
 from conftest import random_adc_instance
 
@@ -100,6 +108,33 @@ class TestInstanceValidation:
     def test_ii_agent_may_reference_sub_majority(self):
         inst = AdcInstance(("p", "p", "r"), (agent(R={1}, ii=True),) * 3)
         assert inst.votes_p == 2
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (agent(Y={"x"}, ii=True), "agent 1 outcomes outside {r, p}"),
+            (agent(R={0}, ii=True), "agent 1 thresholds must be integers in [1, 3]"),
+            (agent(R={4}, ii=True), "agent 1 thresholds must be integers in [1, 3]"),
+            (agent(R={"2"}, ii=True), "agent 1 thresholds must be integers in [1, 3]"),
+            (agent(R={1}), "agent 1 is not implementation-indifferent"),
+        ],
+    )
+    def test_first_bad_agent_is_named(self, bad, message):
+        agents = (agent(R={1, 2}, ii=True), bad, agent(R={3, 4}))
+        with pytest.raises(ValidationError) as exc:
+            AdcInstance(("p", "p", "r"), agents)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("ii", [False, True])
+    def test_float_threshold_after_equal_int_rejected(self, ii):
+        # The union of all threshold sets is {2, 3}: only a per-element check sees 2.0.
+        agents = (agent(R={2}, ii=ii), agent(R=frozenset({2.0}), ii=ii), agent(R={3}, ii=ii))
+        with pytest.raises(ValidationError, match=r"agent 1 thresholds must be integers"):
+            AdcInstance(("p", "p", "r"), agents)
+
+    def test_float_feasible_threshold_rejected(self):
+        with pytest.raises(ValidationError, match="feasible thresholds"):
+            AdcInstance(("p", "p", "r"), (agent(),) * 3, frozenset({2.0}))
 
     def test_realizable_outcomes(self):
         inst = AdcInstance(("p", "p", "r"), (agent(),) * 3)
@@ -226,6 +261,21 @@ class TestBridge:
         inst = AdcInstance(("p", "p", "r", "r"), (agent(),) * 4)
         assert sorted(adc_to_generic(inst).feasible_rule_ids) == ["t3", "t4"]
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rule_universe_values_every_threshold(self, n):
+        for votes_p in range(n + 1):
+            assert _rule_universe(n, votes_p) == tuple(
+                RuleRef(f"t{t}", supermajority_outcome(t, votes_p, n)) for t in range(1, n + 1)
+            )
+
+    def test_rule_universe_cached_once_per_n(self):
+        _rules_by_outcome.cache_clear()
+        n = 5
+        for votes_p in range(n + 1):
+            votes = (PROPOSAL,) * votes_p + (STATUS_QUO,) * (n - votes_p)
+            solve(AdcInstance(votes, (agent(Y={PROPOSAL}),) * n))
+        assert _rules_by_outcome.cache_info().currsize == 1
+
     def test_sub_majority_thresholds_stay_infeasible(self):
         inst = AdcInstance(("p", "p", "r"), (agent(R={1}, ii=True),) * 3)
         generic = adc_to_generic(inst)
@@ -278,3 +328,26 @@ def test_bridge_rule_ids_name_thresholds(seed, n, kind):
     for adc_agent, spec in zip(inst.agents, generic.agents):
         assert spec.rule_ids == {f"t{t}" for t in adc_agent.thresholds}
     assert generic.feasible_rule_ids == {f"t{t}" for t in feasible}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=2, max_value=9),
+    st.sampled_from(KINDS),
+)
+def test_trusted_bridge_passes_validation(seed, n, kind):
+    """The bridge skips ``GenericInstance``'s checks; rebuilding through them must pass."""
+    rng = random.Random(seed)
+    inst = random_adc_instance(rng, n, kind)
+    family = list(threshold_family(n))
+    feasible = frozenset(rng.sample(family, rng.randint(1, len(family))))
+    generic = adc_to_generic(AdcInstance(inst.votes, inst.agents, feasible))
+    rebuilt = GenericInstance(
+        outcomes=generic.outcomes,
+        rules=generic.rules,
+        feasible_outcomes=generic.feasible_outcomes,
+        feasible_rule_ids=generic.feasible_rule_ids,
+        agents=generic.agents,
+    )
+    assert rebuilt == generic

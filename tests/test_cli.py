@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 
@@ -173,6 +174,47 @@ class TestSolve:
         expected = run_cli(capsys, "solve", write_json(ADC_II_DISJ))
         path = write_json(_with_agent(ADC_II_DISJ, 1, R_delta=[delta]), "string.json")
         assert run_cli(capsys, "solve", path) == expected
+
+
+@pytest.fixture
+def gc_restored():
+    """Put the collector back as the test found it, whatever the test did."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestGcPause:
+    """``solve`` pauses the cyclic collector; it must leave no cycles and the caller's setting."""
+
+    @pytest.mark.parametrize("payload", [ADC_II_DISJ, GENERIC], ids=["adc", "generic"])
+    def test_solve_leaves_no_cycles(self, capsys, write_json, gc_restored, payload):
+        path = write_json(payload)
+        run_cli(capsys, "solve", path)  # warm-up: first-call caches may hold cycles
+        gc.collect()
+        code, _, _ = run_cli(capsys, "solve", path)
+        assert code == 0
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "payload, expected_code",
+        [(ADC_II_DISJ, 0), (GENERIC, 0), ({**ADC_II_DISJ, "n": "3"}, 2)],
+        ids=["adc", "generic", "parse-error"],
+    )
+    def test_caller_setting_is_restored(
+        self, capsys, write_json, gc_restored, enabled, payload, expected_code
+    ):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        code, _, _ = run_cli(capsys, "solve", write_json(payload))
+        assert code == expected_code
+        assert gc.isenabled() is enabled
 
 
 class TestAmend:
@@ -419,6 +461,16 @@ MALFORMED = {
         "'1e-999999999' is not a rational",
     ),
     "adc Y nested": (_with_agent(ADC_II_DISJ, 0, Y=[["p"]]), "field 'Y' holds a list"),
+    # An earlier agent holds the equal int, so the union of all threshold sets
+    # has only ints: the element types must be checked one by one.
+    "R_t bool after equal int": (
+        _with_agent(_with_agent(ADC_II_DISJ, 0, R_t=[1]), 1, R_t=[True]),
+        _error_line("adc instance: agent 1 thresholds must be integers in [1, 3]"),
+    ),
+    "R_t float after equal int": (
+        _with_agent(_with_agent(ADC_II_DISJ, 0, R_t=[2]), 1, R_t=[2.0]),
+        _error_line("adc instance: agent 1 thresholds must be integers in [1, 3]"),
+    ),
     "adc type list": (_with_agent(ADC_II_DISJ, 0, type=["x"]), "unknown agent type"),
     "adc n string": ({**ADC_II_DISJ, "n": "3"}, "field 'n' must be an integer"),
     "adc votes number": ({**ADC_II_DISJ, "votes": 3}, "'votes' must be a string or a list"),
