@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 from .core import GenericInstance, RuleRef, SatisfyingSpec, ValidationError
 
@@ -69,9 +70,11 @@ def _rule_ids(n: int) -> dict:
     return {t: f"t{t}" for t in range(1, n + 1)}
 
 
-@dataclass(frozen=True)
-class AdcAgent:
-    """One agent's acceptable thresholds and outcomes plus type flags."""
+class AdcAgent(NamedTuple):
+    """One agent's acceptable thresholds and outcomes plus type flags.
+
+    A ``NamedTuple``, like ``core.SatisfyingSpec``: see ``acceptmax.core``.
+    """
 
     thresholds: frozenset
     outcomes: frozenset
@@ -202,19 +205,19 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
     """
     n = instance.n
     ids = _rule_ids(n)
-    agents = tuple(
+    agents = [
         SatisfyingSpec(
-            rule_ids=frozenset(map(ids.__getitem__, a.thresholds)),
-            outcomes=a.outcomes,
-            conjunctive=a.conjunctive,
-            implementation_indifferent=a.implementation_indifferent,
+            frozenset(map(ids.__getitem__, a.thresholds)),
+            a.outcomes,
+            a.conjunctive,
+            a.implementation_indifferent,
         )
         for a in instance.agents
-    )
+    ]
     return GenericInstance.trusted(
         outcomes=(STATUS_QUO, PROPOSAL),
         rules=_rule_universe(n, instance.votes_p),
         feasible_outcomes=frozenset(OUTCOMES),
         feasible_rule_ids=frozenset(map(ids.__getitem__, instance.feasible_thresholds)),
-        agents=agents,
+        agents=tuple(agents),
     )

@@ -213,23 +213,14 @@ def class_predicate(
 def _kind_options(agent_kind: str, n: int, votes_p: int):
     """Unfiltered (type-consistent) agent options, empty sets first."""
     if agent_kind == "conseq":
-        return [
-            AdcAgent(frozenset(), y, conjunctive=False, implementation_indifferent=True)
-            for y in _Y_SUBSETS
-        ]
+        return [AdcAgent(frozenset(), y, False, True) for y in _Y_SUBSETS]
     if agent_kind in ("abs_disj", "abs_conj"):
         conj = agent_kind == "abs_conj"
-        return [
-            AdcAgent(r, y, conjunctive=conj, implementation_indifferent=False)
-            for r in _family_subsets(n)
-            for y in _Y_SUBSETS
-        ]
+        return [AdcAgent(r, y, conj, False) for r in _family_subsets(n) for y in _Y_SUBSETS]
     if agent_kind in ("ii_disj", "ii_conj"):
         conj = agent_kind == "ii_conj"
         return [
-            AdcAgent(r, y, conjunctive=conj, implementation_indifferent=True)
-            for r in _ii_threshold_reps(n, votes_p)
-            for y in _Y_SUBSETS
+            AdcAgent(r, y, conj, True) for r in _ii_threshold_reps(n, votes_p) for y in _Y_SUBSETS
         ]
     if agent_kind == "any":
         opts = []

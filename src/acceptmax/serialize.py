@@ -149,12 +149,7 @@ def _parse_adc_agent(obj, i, n):
         raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
     if type_name in _EMPTY_OUTCOMES and outcomes:
         raise ParseError(f"agents[{i}]: type {type_name!r} must have no outcome set")
-    return adc.AdcAgent(
-        thresholds=thresholds,
-        outcomes=outcomes,
-        conjunctive=conj,
-        implementation_indifferent=ii,
-    )
+    return adc.AdcAgent(thresholds, outcomes, conj, ii)
 
 
 def parse_adc(obj) -> adc.AdcInstance:
@@ -211,14 +206,7 @@ def parse_generic(obj) -> core.GenericInstance:
             raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
         if type_name in _EMPTY_OUTCOMES and outcomes:
             raise ParseError(f"agents[{i}]: type {type_name!r} must have no outcome set")
-        agents.append(
-            core.SatisfyingSpec(
-                rule_ids=rule_ids,
-                outcomes=outcomes,
-                conjunctive=conj,
-                implementation_indifferent=ii,
-            )
-        )
+        agents.append(core.SatisfyingSpec(rule_ids, outcomes, conj, ii))
     outcomes = _list_field(obj, "outcomes", "generic instance")
     if not all(type(y) is str for y in outcomes):
         raise ParseError("generic instance: field 'outcomes' must list strings")

@@ -55,6 +55,29 @@ def threshold_oracle_count(inst):
     )
 
 
+class TestAgentRecord:
+    """An ``AdcAgent`` is an immutable value: equal fields, equal and same hash."""
+
+    @pytest.mark.parametrize(
+        "field", ["thresholds", "outcomes", "conjunctive", "implementation_indifferent"]
+    )
+    def test_fields_cannot_be_assigned(self, field):
+        a = agent(R={2}, Y={PROPOSAL})
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+
+    def test_equal_fields_equal_and_same_hash(self):
+        a = AdcAgent(frozenset({2, 3}), frozenset({PROPOSAL}), True, False)
+        b = agent(R={3, 2}, Y={PROPOSAL}, conjunctive=True)
+        assert a == b and hash(a) == hash(b)
+        assert a != agent(R={2, 3}, Y={PROPOSAL})
+
+    def test_flags_default_to_false(self):
+        a = AdcAgent(frozenset({2}), frozenset())
+        assert a.conjunctive is False
+        assert a.implementation_indifferent is False
+
+
 class TestThresholds:
     def test_supermajority_outcome(self):
         assert supermajority_outcome(3, 3, 5) == PROPOSAL

@@ -3,8 +3,10 @@
 import contextlib
 import copy
 import gc
+import hashlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,8 @@ from acceptmax import cli, serialize
 from acceptmax.adc import AdcInstance, adc_to_generic
 from acceptmax.amendment import AmendmentInstance, VotePolicy
 from acceptmax.core import max_accept
+
+from conftest import random_adc_instance, random_generic_instance
 
 ADC_CONSEQ = {
     "kind": "adc",
@@ -389,6 +393,72 @@ class TestSerializeRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(serialize.ParseError):
             serialize.parse_instance({"kind": "mystery"})
+
+
+def _generic_instance_to_dict(instance):
+    """A generic instance file; each agent's type name follows from its flags and sets."""
+    return {
+        "kind": "generic",
+        "outcomes": list(instance.outcomes),
+        "rules": [{"id": r.id, "value": r.value_at_profile} for r in instance.rules],
+        "feasible_outcomes": sorted(instance.feasible_outcomes),
+        "feasible_rules": sorted(instance.feasible_rule_ids),
+        "agents": [
+            {
+                "type": serialize._agent_type_name(
+                    a.conjunctive, a.implementation_indifferent, bool(a.rule_ids), bool(a.outcomes)
+                ),
+                "R": sorted(a.rule_ids),
+                "Y": sorted(a.outcomes),
+            }
+            for a in instance.agents
+        ],
+    }
+
+
+DIGEST_KINDS = ("conseq", "abs_disj", "abs_conj", "ii_disj", "ii_conj")
+
+
+def _digest_corpus():
+    """Seeded (name, payload) pairs: adc and generic files of every agent type."""
+    rng = random.Random(2026)
+    corpus = []
+    for n in (3, 40, 400):
+        per_kind = [random_adc_instance(rng, n, kind) for kind in DIGEST_KINDS]
+        family = sorted(per_kind[0].feasible_thresholds)
+        mixed = AdcInstance(
+            per_kind[0].votes,
+            tuple(rng.choice(per_kind).agents[i] for i in range(n)),
+            frozenset(rng.sample(family, rng.randint(1, len(family)))),
+        )
+        for kind, inst in zip(DIGEST_KINDS + ("mixed",), per_kind + [mixed]):
+            corpus.append((f"adc-{kind}-{n}", serialize.adc_instance_to_dict(inst)))
+            generic = _generic_instance_to_dict(adc_to_generic(inst))
+            corpus.append((f"generic-{kind}-{n}", generic))
+    for i in range(20):
+        generic = _generic_instance_to_dict(random_generic_instance(rng))
+        corpus.append((f"generic-random-{i}", generic))
+    return corpus
+
+
+def test_solve_stdout_digest_is_stable(capsys, tmp_path):
+    # One digest over (argv, exit code, stdout) of `solve` and `solve
+    # --mechanism oracle` on a seeded corpus of every agent type at
+    # n = 3, 40 and 400; any change in a decision, a tie-break, an
+    # accepted_by list, a tally or the number formatting changes it.
+    corpus = _digest_corpus()
+    types = {a["type"] for _, payload in corpus for a in payload["agents"]}
+    assert types == set(serialize.AGENT_TYPES)
+    digest = hashlib.sha256()
+    for name, payload in corpus:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        for extra in ([], ["--mechanism", "oracle"]):
+            code, out, _ = run_cli(capsys, "solve", str(path), *extra)
+            digest.update(json.dumps([["solve", name, *extra], code, out]).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "c8ffb6c0d21e3cac43b5f7a5e0a1d7c785389b032c41d817c98eb6bbafc9a927"
+    )
 
 
 class TestParserReuse:

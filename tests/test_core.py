@@ -85,6 +85,45 @@ class TestModel:
         assert keys == [("B", "r10"), ("B", "r2"), ("A", "r9")]
 
 
+class TestRecords:
+    """Rules and specs are immutable values: equal fields, equal and same hash."""
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (RuleRef("r1", "A"), "id"),
+            (RuleRef("r1", "A"), "value_at_profile"),
+            (spec(R={"r1"}, Y={"A"}), "rule_ids"),
+            (spec(R={"r1"}, Y={"A"}), "outcomes"),
+            (spec(R={"r1"}, Y={"A"}), "conjunctive"),
+            (spec(R={"r1"}, Y={"A"}), "implementation_indifferent"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+    def test_equal_fields_equal_and_same_hash(self):
+        assert RuleRef("r1", "A") == RuleRef("r1", "A")
+        assert hash(RuleRef("r1", "A")) == hash(RuleRef("r1", "A"))
+        assert RuleRef("r1", "A") != RuleRef("r1", "B")
+        a = SatisfyingSpec(frozenset({"r1"}), frozenset({"A"}), True, False)
+        b = spec(R={"r1"}, Y={"A"}, conjunctive=True)
+        assert a == b and hash(a) == hash(b)
+        assert a != spec(R={"r1"}, Y={"A"})
+
+    def test_flags_default_to_false(self):
+        agent = SatisfyingSpec(frozenset(), frozenset({"A"}))
+        assert agent.conjunctive is False
+        assert agent.implementation_indifferent is False
+
+    def test_rules_sort_by_id_then_value(self):
+        rules = [RuleRef("r2", "A"), RuleRef("r1", "B"), RuleRef("r1", "A"), RuleRef("r10", "A")]
+        assert sorted(rules) == [
+            RuleRef("r1", "A"), RuleRef("r1", "B"), RuleRef("r10", "A"), RuleRef("r2", "A")
+        ]
+
+
 class TestAccepts:
     def setup_method(self):
         self.inst = make_instance([spec()])
