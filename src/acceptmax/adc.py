@@ -70,23 +70,23 @@ def _rule_ids(n: int) -> dict:
     return {t: f"t{t}" for t in range(1, n + 1)}
 
 
+def rule_threshold(rule_id: str) -> int:
+    """The threshold ``t`` of a bridged rule id ``t<t>``: the inverse of ``_rule_ids``."""
+    return int(rule_id[1:])
+
+
 class AdcAgent(NamedTuple):
     """One agent's acceptable thresholds and outcomes plus type flags.
 
-    A ``NamedTuple``, like ``core.SatisfyingSpec``: see ``acceptmax.core``.
+    A ``NamedTuple`` with ``core.SatisfyingSpec``'s layout, thresholds in
+    place of rule ids, so ``core.substitute_absolute_disjunctivist`` reads
+    both: see ``acceptmax.core``.
     """
 
     thresholds: frozenset
     outcomes: frozenset
     conjunctive: bool = False
     implementation_indifferent: bool = False
-
-    def realized(self, votes_p: int) -> frozenset:
-        """Outcomes some acceptable threshold selects on the observed profile."""
-        out = set()
-        for t in self.thresholds:
-            out.add(PROPOSAL if votes_p >= t else STATUS_QUO)
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -153,24 +153,15 @@ class AdcInstance:
         return self.votes.count(PROPOSAL)
 
 
-def adc_accepts(agent: AdcAgent, t: int, outcome: str, votes_p: int) -> bool:
-    """Fast acceptance predicate over threshold-encoded decisions."""
-    outcome_ok = outcome in agent.outcomes
-    if agent.implementation_indifferent:
-        rule_ok = outcome in agent.realized(votes_p)
-    else:
-        rule_ok = t in agent.thresholds
-    if agent.conjunctive:
-        return outcome_ok and rule_ok
-    return outcome_ok or rule_ok
+@lru_cache(maxsize=None)
+def threshold_outcomes(n: int, votes_p: int) -> dict:
+    """Each threshold ``t`` in ``[1, n]`` -> its outcome when ``votes_p`` agents back ``p``.
 
-
-def adc_decisions(n: int, votes_p: int, feasible) -> list:
-    """Feasible (threshold, outcome) pairs, sorted by (outcome, threshold)."""
-    return sorted(
-        ((t, supermajority_outcome(t, votes_p, n)) for t in feasible),
-        key=lambda p: (p[1], p[0]),
-    )
+    ``t`` selects ``p`` exactly when ``t <= votes_p``. ``bounds`` reads every
+    outcome from this one cached, read-only lookup, and hands it to
+    ``core.substitute_absolute_disjunctivist``. The solve path does not use it.
+    """
+    return {t: PROPOSAL if t <= votes_p else STATUS_QUO for t in range(1, n + 1)}
 
 
 @lru_cache(maxsize=None)

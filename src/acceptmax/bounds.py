@@ -50,13 +50,10 @@ from .adc import (
     STATUS_QUO,
     AdcAgent,
     AdcInstance,
-    adc_accepts,
-    adc_decisions,
-    majority_threshold,
-    supermajority_outcome,
     threshold_family,
+    threshold_outcomes,
 )
-from .core import ValidationError
+from .core import ValidationError, substitute_absolute_disjunctivist
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ def _ii_threshold_reps(n: int, votes_p: int):
 
 @functools.cache
 def _realizable_feasible(n: int, votes_p: int, feasible) -> frozenset:
-    return frozenset(supermajority_outcome(t, votes_p, n) for t in feasible)
+    return frozenset(map(threshold_outcomes(n, votes_p).__getitem__, feasible))
 
 
 def class_predicate(
@@ -181,32 +178,33 @@ def class_predicate(
     k: int | None = None,
 ) -> bool:
     """Whether one agent's satisfying set meets the class assumption."""
-    realizable = _realizable_feasible(n, votes_p, feasible)
-    r_feas = agent.thresholds & frozenset(feasible)
     if class_id == "any-none":
         return True
+    outcome_of = threshold_outcomes(n, votes_p)
+    realizable = _realizable_feasible(n, votes_p, feasible)
+    r_feas = agent.thresholds & frozenset(feasible)
     if class_id == "abs-conj-consistent":
         return vote in agent.outcomes and bool(r_feas)
     if class_id == "abs-conj-realizable":
-        return any(
-            supermajority_outcome(t, votes_p, n) in agent.outcomes for t in r_feas
-        )
+        return any(outcome_of[t] in agent.outcomes for t in r_feas)
     if class_id == "abs-disj-r1":
         return len(r_feas) >= 1
     if class_id == "abs-disj-k":
         return len(r_feas) >= k
     if class_id in ("abs-disj-y1", "ii-disj-y1", "conseq-y1"):
         return bool(agent.outcomes & realizable)
-    if class_id == "ii-conj-realizable":
-        return bool(agent.outcomes & realizable & agent.realized(votes_p))
-    if class_id == "ii-disj-r1":
-        return bool(agent.realized(votes_p) & realizable)
-    if class_id == "ii-disj-last":
-        return len(agent.outcomes & realizable) == 1 and bool(
-            agent.realized(votes_p) & (realizable - agent.outcomes)
-        )
     if class_id == "conseq-consistent":
         return vote in agent.outcomes
+    # The outcomes the agent's thresholds realize, read only by these rows.
+    realized = frozenset(map(outcome_of.__getitem__, agent.thresholds))
+    if class_id == "ii-conj-realizable":
+        return bool(agent.outcomes & realizable & realized)
+    if class_id == "ii-disj-r1":
+        return bool(realized & realizable)
+    if class_id == "ii-disj-last":
+        return len(agent.outcomes & realizable) == 1 and bool(
+            realized & (realizable - agent.outcomes)
+        )
     raise ValidationError(f"unknown class {class_id!r}")
 
 
@@ -230,13 +228,11 @@ def _kind_options(agent_kind: str, n: int, votes_p: int):
     raise ValidationError(f"unknown agent kind {agent_kind!r}")
 
 
-def agent_options(class_id, n, votes_p, vote, feasible=None, k=None):
+def agent_options(class_id, n, votes_p, vote, feasible, k=None):
     """Class-satisfying agent options for one voter, in canonical order."""
-    cls = CLASSES[class_id]
-    feasible = frozenset(feasible or threshold_family(n))
     return [
         a
-        for a in _kind_options(cls.agent_kind, n, votes_p)
+        for a in _kind_options(CLASSES[class_id].agent_kind, n, votes_p)
         if class_predicate(class_id, a, n, votes_p, feasible, vote, k)
     ]
 
@@ -245,8 +241,10 @@ def agent_options(class_id, n, votes_p, vote, feasible=None, k=None):
 # Worst-case search.
 
 
-def _decision_bits(agent: AdcAgent, decisions, votes_p):
-    return tuple(int(adc_accepts(agent, t, y, votes_p)) for t, y in decisions)
+def _decision_bits(agent: AdcAgent, decisions, outcome_of):
+    """The agent's acceptance of each decision (t, y), through its substitute (R', Y')."""
+    rules, outcomes = substitute_absolute_disjunctivist(agent, outcome_of)
+    return tuple(int(y in outcomes or t in rules) for t, y in decisions)
 
 
 def _pareto_minimal(bit_options):
@@ -325,12 +323,13 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
     best, witness = n + 1, None
     options = kept = nodes = 0
     for votes_p in range(n + 1):
-        decisions = adc_decisions(n, votes_p, feasible)
+        outcome_of = threshold_outcomes(n, votes_p)
+        decisions = [(t, outcome_of[t]) for t in sorted(feasible)]
         sides = []
         for vote in (PROPOSAL, STATUS_QUO):
             opts = agent_options(class_id, n, votes_p, vote, feasible, k)
             bits = _pareto_minimal(
-                (_decision_bits(a, decisions, votes_p), a) for a in opts
+                (_decision_bits(a, decisions, outcome_of), a) for a in opts
             )
             options += len(opts)
             kept += len(bits)
@@ -349,10 +348,3 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
     return BoundsReport(
         class_id, n, k, observed, formula, witness, match, options, kept, nodes
     )
-
-
-def majority_mechanism_count(instance: AdcInstance) -> int:
-    """Acceptance count of the fixed mechanism that always applies majority rule."""
-    t = majority_threshold(instance.n)
-    y = supermajority_outcome(t, instance.votes_p, instance.n)
-    return sum(1 for a in instance.agents if adc_accepts(a, t, y, instance.votes_p))

@@ -11,6 +11,12 @@ extensionally by the outcome they select on that profile. Everything here
 is an immutable value; all operations are pure functions and safe to call
 concurrently.
 
+Acceptance has one closed form, the substitution
+``substitute_absolute_disjunctivist(agent, rule_value)``: the absolute
+disjunctivist (R', Y') that accepts what ``agent`` accepts. ``max_accept``
+tallies from it and ``bounds`` scores agent options with it. ``accepts``
+restates the definition only as the oracle's reference.
+
 The per-agent and per-rule records, ``SatisfyingSpec`` and ``RuleRef``,
 are ``typing.NamedTuple``s: a large electorate builds one per agent, and a
 tuple is built in about a third of a frozen dataclass's time. Their fields
@@ -208,29 +214,28 @@ def make_report(instance: GenericInstance, decision: Decision) -> SolveReport:
 _EMPTY = frozenset()
 
 
-def substitute_absolute_disjunctivist(
-    agent: SatisfyingSpec, instance: GenericInstance
-) -> tuple:
+def substitute_absolute_disjunctivist(agent, rule_value) -> tuple:
     """The sets (R', Y') of the absolute disjunctivist accepting the same decisions.
 
-    On the observed profile, the absolute-disjunctive agent with acceptable
-    rules R' and outcomes Y' accepts exactly the decisions ``agent`` accepts.
+    ``agent`` is read by position as (rules, outcomes, conjunctive,
+    implementation_indifferent), the layout of ``SatisfyingSpec`` and of
+    ``adc.AdcAgent``. ``rule_value`` maps each rule to the outcome it selects
+    on the profile: ``GenericInstance.rule_value``, or ``adc.threshold_outcomes``.
+    The agent accepts (r, y) exactly when y is in Y' or r is in R'.
     Implementation-indifferent rule concerns collapse into the outcomes those
-    rules realize on the profile; conjunctive rule sets are filtered down to
-    the rules whose realized outcome is itself acceptable. An absolute
-    disjunctivist gets its own two sets back. R' of an implementation-
-    indifferent agent and Y' of an absolute conjunctivist are always empty:
-    both are one shared empty frozenset.
+    rules realize; conjunctive rule sets keep only the rules whose realized
+    outcome is acceptable. An absolute disjunctivist gets its own two sets
+    back. The always-empty side is one shared empty frozenset.
     """
-    if agent.implementation_indifferent:
-        realized = frozenset(map(instance.rule_value.__getitem__, agent.rule_ids))
-        if agent.conjunctive:
-            return _EMPTY, agent.outcomes & realized
-        return _EMPTY, agent.outcomes | realized
-    if agent.conjunctive:
-        values, outcomes = instance.rule_value, agent.outcomes
-        return frozenset(rid for rid in agent.rule_ids if values[rid] in outcomes), _EMPTY
-    return agent.rule_ids, agent.outcomes
+    rules, outcomes, conjunctive, indifferent = agent
+    if indifferent:
+        realized = frozenset(map(rule_value.__getitem__, rules))
+        if conjunctive:
+            return _EMPTY, outcomes & realized
+        return _EMPTY, outcomes | realized
+    if conjunctive:
+        return frozenset(r for r in rules if rule_value[r] in outcomes), _EMPTY
+    return rules, outcomes
 
 
 def max_accept(instance: GenericInstance) -> SolveReport:
@@ -251,7 +256,7 @@ def max_accept(instance: GenericInstance) -> SolveReport:
     values = instance.rule_value
     outcome_count = dict.fromkeys(instance.outcomes, 0)
     rule_count = dict.fromkeys(values, 0)
-    pairs = [substitute_absolute_disjunctivist(agent, instance) for agent in instance.agents]
+    pairs = [substitute_absolute_disjunctivist(agent, values) for agent in instance.agents]
     for rule_ids, outcomes in pairs:
         for y in outcomes:
             outcome_count[y] += 1

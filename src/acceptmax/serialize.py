@@ -278,6 +278,9 @@ def load_instance(path):
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, an integer past the digit limit, or nesting past the recursion limit.
+        raise ParseError(f"{path}: {exc}") from exc
     return parse_instance(obj)
 
 
@@ -333,7 +336,7 @@ def _threshold_fields(t: int, n: int) -> dict:
 def solve_report_to_dict(report: core.SolveReport, n: int, adc_n: int | None = None) -> dict:
     decision = {"rule": report.decision.rule.id, "outcome": report.decision.outcome}
     if adc_n is not None:
-        t = int(report.decision.rule.id.lstrip("t"))
+        t = adc.rule_threshold(report.decision.rule.id)
         decision.update(_threshold_fields(t, adc_n))
     return {
         "decision": decision,

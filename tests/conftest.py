@@ -5,7 +5,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from acceptmax.adc import OUTCOMES, PROPOSAL, AdcAgent, AdcInstance, threshold_family
+from acceptmax.adc import (
+    OUTCOMES,
+    PROPOSAL,
+    STATUS_QUO,
+    AdcAgent,
+    AdcInstance,
+    majority_threshold,
+    supermajority_outcome,
+    threshold_family,
+)
 from acceptmax.bounds import agent_options
 from acceptmax.core import (
     GenericInstance,
@@ -64,8 +73,42 @@ def random_generic_instance(rng: random.Random) -> GenericInstance:
 
 def substituted(agent: SatisfyingSpec, instance: GenericInstance) -> SatisfyingSpec:
     """The substitute (R', Y') as an absolute-disjunctive spec, for ``core.accepts``."""
-    rule_ids, outcomes = substitute_absolute_disjunctivist(agent, instance)
+    rule_ids, outcomes = substitute_absolute_disjunctivist(agent, instance.rule_value)
     return SatisfyingSpec(rule_ids=rule_ids, outcomes=outcomes)
+
+
+# ---------------------------------------------------------------------------
+# A threshold-space reference for acceptance, written without ``acceptmax.core``:
+# the library decides acceptance through ``core``, and these check it.
+
+
+def adc_accepts(agent: AdcAgent, t: int, outcome: str, votes_p: int) -> bool:
+    """Whether the agent accepts the decision (threshold ``t``, ``outcome``)."""
+    outcome_ok = outcome in agent.outcomes
+    if agent.implementation_indifferent:
+        rule_ok = any(
+            (PROPOSAL if votes_p >= s else STATUS_QUO) == outcome for s in agent.thresholds
+        )
+    else:
+        rule_ok = t in agent.thresholds
+    if agent.conjunctive:
+        return outcome_ok and rule_ok
+    return outcome_ok or rule_ok
+
+
+def adc_decisions(n: int, votes_p: int, feasible) -> list:
+    """Feasible (threshold, outcome) pairs, sorted by (outcome, threshold)."""
+    return sorted(
+        ((t, supermajority_outcome(t, votes_p, n)) for t in feasible),
+        key=lambda p: (p[1], p[0]),
+    )
+
+
+def majority_count(instance: AdcInstance) -> int:
+    """Acceptance count of the fixed mechanism that always applies majority rule."""
+    t = majority_threshold(instance.n)
+    y = supermajority_outcome(t, instance.votes_p, instance.n)
+    return sum(1 for a in instance.agents if adc_accepts(a, t, y, instance.votes_p))
 
 
 def random_adc_instance(rng: random.Random, n: int, kind: str) -> AdcInstance:

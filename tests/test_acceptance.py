@@ -23,8 +23,6 @@ from acceptmax.adc import (
     STATUS_QUO,
     AdcAgent,
     AdcInstance,
-    adc_accepts,
-    adc_decisions,
     adc_to_generic,
     threshold_family,
 )
@@ -36,18 +34,21 @@ from acceptmax.amendment import (
     check_universal_acceptance,
     h_threshold,
 )
-from acceptmax.bounds import (
-    _kind_options,
-    majority_mechanism_count,
-    worst_case_rate,
-)
+from acceptmax.bounds import _kind_options, worst_case_rate
 from acceptmax.core import (
     accepts,
     max_accept,
     oracle_max_accept,
 )
 
-from conftest import homogeneous_suite, random_generic_instance, substituted
+from conftest import (
+    adc_accepts,
+    adc_decisions,
+    homogeneous_suite,
+    majority_count,
+    random_generic_instance,
+    substituted,
+)
 
 
 @pytest.fixture
@@ -246,7 +247,7 @@ def test_criterion_6_majority_rule_floor(report_line):
             ]
             for agents in itertools.product(*per_agent):
                 inst = AdcInstance(votes, agents, feasible)
-                count = majority_mechanism_count(inst)
+                count = majority_count(inst)
                 checked += 1
                 if count < math.ceil(n / 2):
                     violations += 1

@@ -12,16 +12,17 @@ from acceptmax.adc import (
     STATUS_QUO,
     AdcAgent,
     AdcInstance,
-    adc_accepts,
-    adc_decisions,
+    _rule_ids,
     _rule_universe,
     _rules_by_outcome,
     adc_to_generic,
     delta_of,
     majority_threshold,
+    rule_threshold,
     supermajority_outcome,
     threshold_family,
     threshold_of,
+    threshold_outcomes,
 )
 from acceptmax.bounds import _realizable_feasible
 from acceptmax.core import (
@@ -32,7 +33,7 @@ from acceptmax.core import (
     oracle_max_accept,
 )
 
-from conftest import random_adc_instance
+from conftest import adc_accepts, adc_decisions, random_adc_instance
 
 
 def agent(R=(), Y=(), conjunctive=False, ii=False):
@@ -115,6 +116,17 @@ class TestThresholds:
             for v in range(n + 1):
                 expected = PROPOSAL if v > delta_of(t, n) * n else STATUS_QUO
                 assert supermajority_outcome(t, v, n) == expected
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_threshold_outcomes_is_supermajority_outcome(self, n):
+        for v in range(n + 1):
+            assert threshold_outcomes(n, v) == {
+                t: supermajority_outcome(t, v, n) for t in range(1, n + 1)
+            }
+
+    @pytest.mark.parametrize("n", [2, 9, 10, 123])
+    def test_rule_threshold_inverts_rule_ids(self, n):
+        assert [rule_threshold(rid) for rid in _rule_ids(n).values()] == list(range(1, n + 1))
 
     def test_threshold_of_rejects_out_of_range(self):
         with pytest.raises(ValidationError):

@@ -17,19 +17,26 @@ from acceptmax.adc import (
     adc_to_generic,
     majority_threshold,
     threshold_family,
+    threshold_outcomes,
 )
 from acceptmax.bounds import (
     CLASSES,
     _branch_and_bound,
+    _decision_bits,
     class_predicate,
-    majority_mechanism_count,
     table1_formula,
     worst_case_rate,
 )
 from acceptmax.core import ValidationError, max_accept, oracle_max_accept
-from acceptmax.serialize import adc_instance_to_dict, dumps
+from acceptmax.serialize import bounds_report_to_dict, dumps
 
-from conftest import enumerate_instances, random_adc_instance
+from conftest import (
+    adc_accepts,
+    adc_decisions,
+    enumerate_instances,
+    majority_count,
+    random_adc_instance,
+)
 
 
 def oracle_count(inst):
@@ -104,6 +111,20 @@ def full_kind_options(agent_kind, n):
     r_subsets = [frozenset(c) for size in range(len(pool) + 1)
                  for c in itertools.combinations(pool, size)]
     return [AdcAgent(r, y, conj, ii) for r in r_subsets for y in y_subsets]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_decision_bits_match_threshold_reference(n):
+    # The search scores options through core's substitution; the reference
+    # decides each (threshold, outcome) pair on its own, without core.
+    feasible = frozenset(threshold_family(n))
+    for votes_p in range(n + 1):
+        decisions = adc_decisions(n, votes_p, feasible)
+        outcome_of = threshold_outcomes(n, votes_p)
+        for kind in ("conseq", "abs_disj", "abs_conj", "ii_disj", "ii_conj"):
+            for a in full_kind_options(kind, n):
+                expected = tuple(int(adc_accepts(a, t, y, votes_p)) for t, y in decisions)
+                assert _decision_bits(a, decisions, outcome_of) == expected
 
 
 def full_space_min(class_id, n, k=None):
@@ -189,16 +210,17 @@ class TestExhaustive:
         assert (report.options, report.kept, report.nodes) == (336, 36, 27)
 
     def test_witnesses_are_stable(self):
-        # One digest over the witness of every row of
-        # `bounds all --n 3 ... --n 8 --k 2`, as the multiset product found them.
+        # One digest over every whole row of `bounds all --n 3 ... --n 8 --k 2`:
+        # rates, match, the search counters and the witness the multiset
+        # product found.
         digest = hashlib.sha256()
         for class_id in sorted(CLASSES):
             k = 2 if CLASSES[class_id].needs_k else None
             for n in range(3, 9):
-                witness = worst_case_rate(class_id, n, k=k).witness
-                digest.update(dumps(adc_instance_to_dict(witness)).encode() + b"\n")
+                row = bounds_report_to_dict(worst_case_rate(class_id, n, k=k))
+                digest.update(dumps(row).encode() + b"\n")
         assert digest.hexdigest() == (
-            "7bac6ab3d49b05a26cd80baf9ba4f441b5a389180fc5330aaa3cb667e79e2b5f"
+            "0b2e78632206c1dcb734e80b5d3b2dc46cc1fa07b13cae7378aaaf99030c70c8"
         )
 
 
@@ -236,7 +258,7 @@ class TestMajorityMechanism:
             AdcAgent(frozenset(), frozenset({v}), False, True) for v in ("p", "p", "r")
         )
         inst = AdcInstance(("p", "p", "r"), agents)
-        assert majority_mechanism_count(inst) == 2
+        assert majority_count(inst) == 2
 
     def test_consistent_agents_reach_half(self):
         rng = random.Random(5)
@@ -249,7 +271,7 @@ class TestMajorityMechanism:
                 for v in votes
             )
             inst = AdcInstance(votes, agents)
-            assert majority_mechanism_count(inst) >= math.ceil(Fraction(n, 2))
+            assert majority_count(inst) >= math.ceil(Fraction(n, 2))
 
 
 @settings(max_examples=200, deadline=None)

@@ -626,6 +626,27 @@ def test_malformed_element_exits_2(capsys, write_json, case):
     assert err.startswith("error:") and message in err
 
 
+# Files no instance can be read from, rejected before their kind is looked at.
+UNREADABLE = {
+    "not json": (b"{not json", "bad.json:1:2: Expecting property name"),
+    # Past Python's 4300-digit limit for int(); without one, an unknown kind.
+    "integer of 5000 digits": (b'{"kind": ' + b"7" * 5000 + b"}", ""),
+    "not utf-8": (b'{"kind": "adc\xff"}', "can't decode byte 0xff"),
+    "arrays nested 100000 deep": (b"[" * 100_000, "recursion depth"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "amend"])
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_file_exits_2(capsys, tmp_path, case, command):
+    content, message = UNREADABLE[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}") and message in err
+
+
 # --- Input boundary: mutate valid instances into arbitrary JSON ------------------
 
 _SCALARS = st.one_of(

@@ -184,22 +184,22 @@ class TestSubstitution:
     def test_absolute_disjunctive_is_identity(self):
         inst = make_instance([spec(R={"r1"}, Y={"B"})])
         agent = inst.agents[0]
-        rule_ids, outcomes = substitute_absolute_disjunctivist(agent, inst)
+        rule_ids, outcomes = substitute_absolute_disjunctivist(agent, inst.rule_value)
         assert rule_ids is agent.rule_ids and outcomes is agent.outcomes
 
     def test_ii_disjunctive_collapses_to_realized(self):
         inst = make_instance([spec(R={"r2"}, Y={"A"}, ii=True)])
-        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst)
+        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst.rule_value)
         assert outcomes == {"A", "B"} and not rule_ids
 
     def test_ii_conjunctive_intersects_realized(self):
         inst = make_instance([spec(R={"r2"}, Y={"A"}, conjunctive=True, ii=True)])
-        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst)
+        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst.rule_value)
         assert outcomes == frozenset() and not rule_ids
 
     def test_absolute_conjunctive_filters_rules(self):
         inst = make_instance([spec(R={"r1", "r2"}, Y={"A"}, conjunctive=True)])
-        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst)
+        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst.rule_value)
         assert rule_ids == {"r1"} and not outcomes
 
 
