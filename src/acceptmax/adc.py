@@ -62,10 +62,10 @@ def supermajority_outcome(t: int, votes_p: int, n: int) -> str:
 def _rule_ids(n: int) -> dict:
     """Threshold -> rule id ``t<t>`` for every ``t`` in ``[1, n]``, one string object each.
 
-    The bridge takes every id from here, so it builds no string per agent and
-    the rule universe, the agents' sets and the feasible set share the same
-    objects: set and dict lookups reuse each string's cached hash. The cached
-    dict is shared by every caller, so it is only read.
+    The bridge and ``AdcInstance.rule_ref`` take every id from here, so the
+    bridge builds no string per agent and the rule universe, the agents' sets
+    and the feasible set share the same objects: set and dict lookups reuse
+    each string's cached hash. The cached dict is shared, so it is only read.
     """
     return {t: f"t{t}" for t in range(1, n + 1)}
 
@@ -96,6 +96,7 @@ class AdcInstance:
     votes: tuple
     agents: tuple
     feasible_thresholds: frozenset = None  # defaults to the full family
+    outcomes = (STATUS_QUO, PROPOSAL)  # not a field: the universe in tie-break order
 
     def __post_init__(self):
         n = len(self.votes)
@@ -152,47 +153,51 @@ class AdcInstance:
     def votes_p(self) -> int:
         return self.votes.count(PROPOSAL)
 
+    @property
+    def rule_value(self) -> dict:
+        """Threshold -> outcome: the lookup ``core.max_accept`` tallies with."""
+        return threshold_outcomes(self.n, self.votes_p)
+
+    def feasible_rules(self) -> list:
+        """The feasible thresholds in tie-break order: status quo first, then smallest ``t``.
+
+        Thresholds above ``votes_p`` select the status quo and come first,
+        ascending; those at or below it select the proposal, ascending. This
+        is the order ``adc_to_generic`` declares, so both give one winner.
+        """
+        votes_p, ts = self.votes_p, sorted(self.feasible_thresholds)
+        return [t for t in ts if t > votes_p] + [t for t in ts if t <= votes_p]
+
+    def rule_ref(self, t: int) -> RuleRef:
+        """The bridged rule of threshold ``t``: id ``t<t>``, valued at ``votes_p``."""
+        return RuleRef(_rule_ids(self.n)[t], self.rule_value[t])
+
 
 @lru_cache(maxsize=None)
 def threshold_outcomes(n: int, votes_p: int) -> dict:
     """Each threshold ``t`` in ``[1, n]`` -> its outcome when ``votes_p`` agents back ``p``.
 
-    ``t`` selects ``p`` exactly when ``t <= votes_p``. ``bounds`` reads every
-    outcome from this one cached, read-only lookup, and hands it to
-    ``core.substitute_absolute_disjunctivist``. The solve path does not use it.
+    ``t`` selects ``p`` exactly when ``t <= votes_p``. This one cached,
+    read-only lookup is ``AdcInstance.rule_value``, which ``core.max_accept``
+    solves with, the source of the bridge's rule universe, and the lookup
+    ``bounds`` hands to ``core.substitute_absolute_disjunctivist``.
     """
     return {t: PROPOSAL if t <= votes_p else STATUS_QUO for t in range(1, n + 1)}
 
 
-@lru_cache(maxsize=None)
-def _rules_by_outcome(n: int) -> tuple:
-    """Two tuples of ``RuleRef``: every ``t`` in ``[1, n]`` selecting ``p``, then ``r``.
-
-    The rule of threshold ``t`` selects ``p`` exactly when ``t <= votes_p``,
-    so one pair per n serves every vote count.
-    """
-    ids = _rule_ids(n)
-    return (
-        tuple(RuleRef(rid, PROPOSAL) for rid in ids.values()),
-        tuple(RuleRef(rid, STATUS_QUO) for rid in ids.values()),
-    )
-
-
 def _rule_universe(n: int, votes_p: int) -> tuple:
     """The rule of every threshold ``t`` in ``[1, n]`` in ascending order, valued at ``votes_p``."""
-    chooses_p, chooses_r = _rules_by_outcome(n)
-    return chooses_p[:votes_p] + chooses_r[votes_p:]
+    ids, values = _rule_ids(n), threshold_outcomes(n, votes_p)
+    return tuple(map(RuleRef, ids.values(), values.values()))
 
 
 def adc_to_generic(instance: AdcInstance) -> GenericInstance:
-    """Bridge to the generic model, where ``core.max_accept`` solves it.
+    """The same instance in the generic model, which only the oracle needs.
 
     The rule universe covers every threshold an agent may reference,
     including sub-majority ones; only the instance's feasible family
     members are feasible rules. The declared orders set the tie-break:
-    the status quo before the proposal, then thresholds in ascending
-    numeric order. The result is valid by construction, because ``instance``
-    was validated, so it is built with ``GenericInstance.trusted``.
+    the status quo before the proposal, then ascending thresholds.
     """
     n = instance.n
     ids = _rule_ids(n)
@@ -205,8 +210,8 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
         )
         for a in instance.agents
     ]
-    return GenericInstance.trusted(
-        outcomes=(STATUS_QUO, PROPOSAL),
+    return GenericInstance(
+        outcomes=instance.outcomes,
         rules=_rule_universe(n, instance.votes_p),
         feasible_outcomes=frozenset(OUTCOMES),
         feasible_rule_ids=frozenset(map(ids.__getitem__, instance.feasible_thresholds)),

@@ -25,13 +25,16 @@ EXIT_INPUT = 2
 def cmd_solve(args) -> int:
     """Solve one instance file, with the cyclic garbage collector paused.
 
-    Loading, bridging and tallying a large electorate allocates several
-    objects per agent, and each allocation threshold crossed makes the
-    collector rescan every live agent. The pause is safe because this path
-    creates no reference cycles: after a warm call, ``gc.collect()`` finds
-    nothing to free (``tests/test_cli.py`` checks this). The collector is
-    re-enabled afterwards only if it was enabled before, also when the input
-    is rejected. ``bounds`` is not paused: its recursive search leaves
+    ``auto`` tallies the loaded instance as it is; only ``oracle`` bridges an
+    adc instance to the generic model.
+
+    Loading and tallying a large electorate allocates several objects per
+    agent, and each allocation threshold crossed makes the collector rescan
+    every live agent. The pause is safe because this path creates no
+    reference cycles: after a warm call, ``gc.collect()`` finds nothing to
+    free (``tests/test_cli.py`` checks this). The collector is re-enabled
+    afterwards only if it was enabled before, also when the input is
+    rejected. ``bounds`` is not paused: its recursive search leaves
     thousands of cyclic objects per run, and pausing it raised peak memory.
     """
     was_enabled = gc.isenabled()
@@ -41,14 +44,14 @@ def cmd_solve(args) -> int:
         if isinstance(instance, amendment.AmendmentInstance):
             raise serialize.ParseError("solve expects an adc or generic instance")
         adc_n = instance.n if isinstance(instance, adc.AdcInstance) else None
-        generic = adc.adc_to_generic(instance) if adc_n is not None else instance
         if args.mechanism == "oracle":
+            generic = adc.adc_to_generic(instance) if adc_n is not None else instance
             payload = serialize.oracle_result_to_dict(
                 core.oracle_max_accept(generic), generic.n, adc_n
             )
         else:
             payload = serialize.solve_report_to_dict(
-                core.max_accept(generic), generic.n, adc_n
+                core.max_accept(instance), instance.n, adc_n
             )
         print(serialize.dumps(payload))
     finally:

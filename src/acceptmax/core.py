@@ -118,24 +118,6 @@ class GenericInstance:
         ):
             raise ValidationError("no feasible decision exists")
 
-    @classmethod
-    def trusted(cls, outcomes, rules, feasible_outcomes, feasible_rule_ids, agents):
-        """An instance built without ``__post_init__``'s checks.
-
-        Only for callers whose instance is valid by construction, such as
-        ``adc.adc_to_generic``: it bridges an already validated ``AdcInstance``,
-        so checking every agent again would pay twice for the same facts.
-        """
-        instance = object.__new__(cls)
-        vars(instance).update(
-            outcomes=outcomes,
-            rules=rules,
-            feasible_outcomes=feasible_outcomes,
-            feasible_rule_ids=feasible_rule_ids,
-            agents=agents,
-        )
-        return instance
-
     @cached_property
     def rule_value(self) -> dict:
         return {r.id: r.value_at_profile for r in self.rules}
@@ -144,8 +126,8 @@ class GenericInstance:
     def n(self) -> int:
         return len(self.agents)
 
-    def _feasible_rules(self) -> list:
-        """The feasible rules whose outcome is feasible, in tie-break order.
+    def feasible_rules(self) -> list:
+        """Ids of the feasible rules whose outcome is feasible, in tie-break order.
 
         Outcomes come in the order ``outcomes`` declares them and, within
         one outcome, rules in the order ``rules`` declares them. Both
@@ -154,12 +136,15 @@ class GenericInstance:
         by_outcome = {y: [] for y in self.outcomes if y in self.feasible_outcomes}
         for r in self.rules:
             if r.id in self.feasible_rule_ids and r.value_at_profile in by_outcome:
-                by_outcome[r.value_at_profile].append(r)
-        return [r for rules in by_outcome.values() for r in rules]
+                by_outcome[r.value_at_profile].append(r.id)
+        return [rid for ids in by_outcome.values() for rid in ids]
+
+    def rule_ref(self, rule_id: str) -> RuleRef:
+        return RuleRef(rule_id, self.rule_value[rule_id])
 
     def feasible_decisions(self) -> list:
-        """All feasible decisions in tie-break order (see ``_feasible_rules``)."""
-        return [Decision(rule=r, outcome=r.value_at_profile) for r in self._feasible_rules()]
+        """All feasible decisions in tie-break order (see ``feasible_rules``)."""
+        return [Decision(r, r.value_at_profile) for r in map(self.rule_ref, self.feasible_rules())]
 
 
 @dataclass(frozen=True)
@@ -238,14 +223,20 @@ def substitute_absolute_disjunctivist(agent, rule_value) -> tuple:
     return rules, outcomes
 
 
-def max_accept(instance: GenericInstance) -> SolveReport:
+def max_accept(instance) -> SolveReport:
     """Best feasible decision for any mix of agent types.
+
+    ``instance`` is a ``GenericInstance`` or an ``adc.AdcInstance``, read
+    through ``agents``, ``outcomes``, the rule -> outcome lookup
+    ``rule_value``, ``feasible_rules()`` in tie-break order, ``rule_ref``
+    for the winner, and ``n``. A rule is a key of the lookup: a rule id, or
+    an adc threshold, so an adc instance is tallied without a bridge.
 
     Each agent is replaced by the absolute disjunctivist (R', Y') that
     accepts the same decisions, so a decision (r, y) is accepted by
     |{i : y in Y'_i}| + |{i : y not in Y'_i, r in R'_i}| agents. Both terms
     are tallied in one pass over the agents, straight from the two sets.
-    Ties go to the first maximizer in ``feasible_decisions()`` order, as in
+    Ties go to the first maximizer in ``feasible_rules()`` order, as in
     the oracle.
 
     The report comes from the same substituted pairs: agent i accepts the
@@ -264,15 +255,15 @@ def max_accept(instance: GenericInstance) -> SolveReport:
             if values[rid] not in outcomes:
                 rule_count[rid] += 1
     best, best_count = None, -1
-    for rule in instance._feasible_rules():
-        count = outcome_count[rule.value_at_profile] + rule_count[rule.id]
+    for rid in instance.feasible_rules():
+        count = outcome_count[values[rid]] + rule_count[rid]
         if count > best_count:
-            best, best_count = rule, count
-    rid, y = best.id, best.value_at_profile
+            best, best_count = rid, count
+    y = values[best]
     accepted = frozenset(
-        i for i, (rule_ids, outcomes) in enumerate(pairs) if y in outcomes or rid in rule_ids
+        i for i, (rule_ids, outcomes) in enumerate(pairs) if y in outcomes or best in rule_ids
     )
-    return _report(instance, Decision(rule=best, outcome=y), accepted)
+    return _report(instance, Decision(rule=instance.rule_ref(best), outcome=y), accepted)
 
 
 def oracle_max_accept(instance: GenericInstance) -> OracleResult:

@@ -14,7 +14,6 @@ from acceptmax.adc import (
     AdcInstance,
     _rule_ids,
     _rule_universe,
-    _rules_by_outcome,
     adc_to_generic,
     delta_of,
     majority_threshold,
@@ -41,7 +40,7 @@ def agent(R=(), Y=(), conjunctive=False, ii=False):
 
 
 def solve(inst):
-    return max_accept(adc_to_generic(inst))
+    return max_accept(inst)
 
 
 def oracle_count(inst):
@@ -285,6 +284,51 @@ class TestIiConjunctivists:
         assert report.accepted_by == {0}
 
 
+class TestThresholdTally:
+    """``max_accept`` on an ``AdcInstance`` gives the bridged instance's whole report."""
+
+    def assert_as_bridged(self, inst):
+        report = solve(inst)
+        generic = adc_to_generic(inst)
+        assert report == max_accept(generic) == oracle_max_accept(generic).report
+        return report
+
+    def test_no_votes_for_proposal(self):
+        # votes_p = 0: every threshold selects r, so no feasible rule selects p.
+        inst = AdcInstance(
+            ("r",) * 4, (agent(Y={PROPOSAL}), agent(R={4}), agent(R={4}), agent(R={3}))
+        )
+        report = self.assert_as_bridged(inst)
+        assert report.decision.rule == RuleRef("t4", STATUS_QUO)
+        assert report.accepted_by == {1, 2}
+
+    def test_all_votes_for_proposal(self):
+        # votes_p = n: every threshold selects p, so no feasible rule selects r.
+        inst = AdcInstance(
+            ("p",) * 4,
+            (agent(Y={STATUS_QUO}), agent(R={3}), agent(R={4}), agent(R={4}, Y={PROPOSAL})),
+        )
+        report = self.assert_as_bridged(inst)
+        assert report.decision.rule == RuleRef("t3", PROPOSAL)  # t3 ties t4; smallest wins
+        assert report.accepted_by == {1, 3}
+
+    @pytest.mark.parametrize("votes_p", range(7))
+    def test_all_ties_go_to_status_quo_then_smallest_t(self, votes_p):
+        inst = AdcInstance(
+            (PROPOSAL,) * votes_p + (STATUS_QUO,) * (6 - votes_p),
+            (agent(Y=OUTCOMES),) * 6,
+        )
+        family = list(threshold_family(6))
+        assert inst.feasible_rules() == (
+            [t for t in family if t > votes_p] + [t for t in family if t <= votes_p]
+        )
+        report = self.assert_as_bridged(inst)
+        t = inst.feasible_rules()[0]
+        expected = STATUS_QUO if votes_p < 6 else PROPOSAL
+        assert report.decision.rule == RuleRef(f"t{t}", expected)
+        assert report.acceptance_count == 6
+
+
 class TestBridge:
     def test_rule_values(self):
         inst = AdcInstance(("p", "p", "r"), (agent(),) * 3)
@@ -302,14 +346,6 @@ class TestBridge:
             assert _rule_universe(n, votes_p) == tuple(
                 RuleRef(f"t{t}", supermajority_outcome(t, votes_p, n)) for t in range(1, n + 1)
             )
-
-    def test_rule_universe_cached_once_per_n(self):
-        _rules_by_outcome.cache_clear()
-        n = 5
-        for votes_p in range(n + 1):
-            votes = (PROPOSAL,) * votes_p + (STATUS_QUO,) * (n - votes_p)
-            solve(AdcInstance(votes, (agent(Y={PROPOSAL}),) * n))
-        assert _rules_by_outcome.cache_info().currsize == 1
 
     def test_sub_majority_thresholds_stay_infeasible(self):
         inst = AdcInstance(("p", "p", "r"), (agent(R={1}, ii=True),) * 3)
@@ -363,21 +399,6 @@ def test_bridge_rule_ids_name_thresholds(seed, n, kind):
     for adc_agent, spec in zip(inst.agents, generic.agents):
         assert spec.rule_ids == {f"t{t}" for t in adc_agent.thresholds}
     assert generic.feasible_rule_ids == {f"t{t}" for t in feasible}
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=10**9),
-    st.integers(min_value=2, max_value=9),
-    st.sampled_from(KINDS),
-)
-def test_trusted_bridge_passes_validation(seed, n, kind):
-    """The bridge skips ``GenericInstance``'s checks; rebuilding through them must pass."""
-    rng = random.Random(seed)
-    inst = random_adc_instance(rng, n, kind)
-    family = list(threshold_family(n))
-    feasible = frozenset(rng.sample(family, rng.randint(1, len(family))))
-    generic = adc_to_generic(AdcInstance(inst.votes, inst.agents, feasible))
     rebuilt = GenericInstance(
         outcomes=generic.outcomes,
         rules=generic.rules,
@@ -386,3 +407,22 @@ def test_trusted_bridge_passes_validation(seed, n, kind):
         agents=generic.agents,
     )
     assert rebuilt == generic
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=2, max_value=9),
+    st.sampled_from(KINDS + ["mixed"]),
+)
+def test_threshold_tally_equals_bridged_tally(seed, n, kind):
+    """``solve`` tallies the adc instance itself: the same whole report as its bridge."""
+    rng = random.Random(seed)
+    per_kind = [random_adc_instance(rng, n, k) for k in (KINDS if kind == "mixed" else [kind])]
+    family = list(threshold_family(n))
+    inst = AdcInstance(
+        per_kind[0].votes,
+        tuple(rng.choice(per_kind).agents[i] for i in range(n)),
+        frozenset(rng.sample(family, rng.randint(1, len(family)))),
+    )
+    assert max_accept(inst) == max_accept(adc_to_generic(inst))

@@ -44,7 +44,7 @@ def oracle_count(inst):
 
 
 def best_count(inst):
-    return max_accept(adc_to_generic(inst)).acceptance_count
+    return max_accept(inst).acceptance_count
 
 
 class TestFormula:

@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acceptmax import cli, serialize
+from acceptmax import adc, cli, serialize
 from acceptmax.adc import AdcInstance, adc_to_generic
 from acceptmax.amendment import AmendmentInstance, VotePolicy
 from acceptmax.core import max_accept
@@ -219,6 +219,30 @@ class TestGcPause:
         code, _, _ = run_cli(capsys, "solve", write_json(payload))
         assert code == expected_code
         assert gc.isenabled() is enabled
+
+
+class TestSolveBridge:
+    """``solve`` tallies an adc instance as it is; only the oracle bridges it."""
+
+    @pytest.mark.parametrize("payload", [ADC_CONSEQ, ADC_II_DISJ, ADC_T9_T10_TIE])
+    def test_auto_does_not_bridge(self, capsys, write_json, monkeypatch, payload):
+        path = write_json(payload)
+        expected = run_cli(capsys, "solve", path)
+
+        def refuse(instance):
+            raise AssertionError("solve --mechanism auto bridged its instance")
+
+        monkeypatch.setattr(adc, "adc_to_generic", refuse)
+        assert run_cli(capsys, "solve", path) == expected
+        assert expected[0] == 0
+
+    def test_oracle_bridges(self, capsys, write_json, monkeypatch):
+        bridged = []
+        bridge = adc.adc_to_generic
+        monkeypatch.setattr(adc, "adc_to_generic", lambda i: bridged.append(i) or bridge(i))
+        code, _, _ = run_cli(capsys, "solve", write_json(ADC_II_DISJ), "--mechanism", "oracle")
+        assert code == 0
+        assert len(bridged) == 1
 
 
 class TestAmend:
