@@ -12,7 +12,7 @@ outcomes some feasible rule actually selects on the profile at hand
 (an outcome no feasible rule can produce admits no feasible decision,
 so acceptability of it alone cannot help any mechanism).
 
-Four exact reductions keep exhaustion tractable; none of them changes
+Five exact reductions keep exhaustion tractable; none of them changes
 the minimum:
  * vote vectors are enumerated up to permutation (acceptance depends on
    the profile only through the proposal's vote count and each agent's
@@ -25,7 +25,16 @@ the minimum:
  * only options whose acceptance vector over the feasible decisions is
    Pareto-minimal are kept, the first in canonical order standing for
    each vector (swapping an agent for one that accepts a subset of its
-   decisions cannot raise any decision's count).
+   decisions cannot raise any decision's count),
+ * absolute agents are listed naming at most the class's rank of
+   thresholds, the most an inclusion-minimal class option names: 0 for
+   ``any-none`` and ``abs-disj-y1``, 1 for ``abs-disj-r1`` and both
+   ``abs-conj`` rows, ``k`` for ``abs-disj-k``. Acceptance is monotone
+   in an agent's thresholds and outcomes and these class predicates are
+   upward-closed, so every Pareto-minimal vector comes from an option
+   that small; the first option in canonical order for a vector is
+   inclusion-minimal (any satisfying sub-option comes earlier), so the
+   kept options are those of the full listing.
 
 The multisets are searched depth first by branch and bound, proposal
 voters first. A branch carries each feasible decision's acceptance count
@@ -145,10 +154,26 @@ _Y_SUBSETS = (
 )
 
 
-def _family_subsets(n: int):
+def _family_subsets(n: int, rank: int | None = None):
+    """Subsets of the threshold family by size, then lexicographically; at most ``rank`` long."""
     family = sorted(threshold_family(n))
-    for size in range(len(family) + 1):
+    for size in range(len(family) + 1 if rank is None else rank + 1):
         yield from (frozenset(c) for c in itertools.combinations(family, size))
+
+
+def _threshold_rank(class_id: str, k: int | None) -> int | None:
+    """The most thresholds an inclusion-minimal option of an ``abs`` class names.
+
+    None for the ii and conseq rows, whose options keep their representative
+    sets. Read only by the worst-case search: see the module docstring.
+    """
+    if class_id in ("any-none", "abs-disj-y1"):
+        return 0
+    if class_id in ("abs-disj-r1", "abs-conj-consistent", "abs-conj-realizable"):
+        return 1
+    if class_id == "abs-disj-k":
+        return k
+    return None
 
 
 def _ii_threshold_reps(n: int, votes_p: int):
@@ -208,13 +233,18 @@ def class_predicate(
     raise ValidationError(f"unknown class {class_id!r}")
 
 
-def _kind_options(agent_kind: str, n: int, votes_p: int):
-    """Unfiltered (type-consistent) agent options, empty sets first."""
+def _kind_options(agent_kind: str, n: int, votes_p: int, rank: int | None = None):
+    """Unfiltered (type-consistent) agent options, empty sets first.
+
+    Absolute agents name at most ``rank`` thresholds (any number when None).
+    """
     if agent_kind == "conseq":
         return [AdcAgent(frozenset(), y, False, True) for y in _Y_SUBSETS]
     if agent_kind in ("abs_disj", "abs_conj"):
         conj = agent_kind == "abs_conj"
-        return [AdcAgent(r, y, conj, False) for r in _family_subsets(n) for y in _Y_SUBSETS]
+        return [
+            AdcAgent(r, y, conj, False) for r in _family_subsets(n, rank) for y in _Y_SUBSETS
+        ]
     if agent_kind in ("ii_disj", "ii_conj"):
         conj = agent_kind == "ii_conj"
         return [
@@ -223,13 +253,16 @@ def _kind_options(agent_kind: str, n: int, votes_p: int):
     if agent_kind == "any":
         opts = []
         for kind in ("abs_disj", "abs_conj", "ii_disj", "ii_conj"):
-            opts.extend(_kind_options(kind, n, votes_p))
+            opts.extend(_kind_options(kind, n, votes_p, rank))
         return opts
     raise ValidationError(f"unknown agent kind {agent_kind!r}")
 
 
 def agent_options(class_id, n, votes_p, vote, feasible, k=None):
-    """Class-satisfying agent options for one voter, in canonical order."""
+    """Class-satisfying agent options for one voter, in canonical order.
+
+    The full listing, uncapped: ``gen`` samples from it.
+    """
     return [
         a
         for a in _kind_options(CLASSES[class_id].agent_kind, n, votes_p)
@@ -258,11 +291,13 @@ def _pareto_minimal(bit_options):
         firsts.setdefault(bits, agent)
     # A vector can only lie below one with a larger sum, so visiting by sum
     # compares each vector with the minimal ones found so far and no others.
-    minimal = []
+    # As bit masks, ``other`` lies below ``mask`` when ``other & mask == other``.
+    keep, masks = set(), []
     for bits in sorted(firsts, key=sum):
-        if not any(all(o <= b for o, b in zip(other, bits)) for other in minimal):
-            minimal.append(bits)
-    keep = set(minimal)
+        mask = int("".join(map(str, bits)), 2)
+        if not any(other & mask == other for other in masks):
+            masks.append(mask)
+            keep.add(bits)
     return [(bits, agent) for bits, agent in firsts.items() if bits in keep]
 
 
@@ -314,23 +349,32 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
 
     The best count carries over from one vote count to the next, so the
     witness is the first minimal multiset at the first vote count that
-    reaches the minimum.
+    reaches the minimum. Each vote count's options are listed up to the
+    class's rank and scored once; each side then keeps those its voters
+    may hold.
     """
     if class_id not in CLASSES:
         raise ValidationError(f"unknown class {class_id!r}")
     formula = table1_formula(class_id, n, k)
     feasible = frozenset(threshold_family(n))
+    kind, rank = CLASSES[class_id].agent_kind, _threshold_rank(class_id, k)
     best, witness = n + 1, None
     options = kept = nodes = 0
     for votes_p in range(n + 1):
         outcome_of = threshold_outcomes(n, votes_p)
         decisions = [(t, outcome_of[t]) for t in sorted(feasible)]
+        scored = [
+            (_decision_bits(a, decisions, outcome_of), a)
+            for a in _kind_options(kind, n, votes_p, rank)
+        ]
         sides = []
         for vote in (PROPOSAL, STATUS_QUO):
-            opts = agent_options(class_id, n, votes_p, vote, feasible, k)
-            bits = _pareto_minimal(
-                (_decision_bits(a, decisions, outcome_of), a) for a in opts
-            )
+            opts = [
+                (bits, a)
+                for bits, a in scored
+                if class_predicate(class_id, a, n, votes_p, feasible, vote, k)
+            ]
+            bits = _pareto_minimal(opts)
             options += len(opts)
             kept += len(bits)
             sides.append(bits)

@@ -93,7 +93,7 @@ def test_criterion_1_oracle_equivalence(report_line):
 
 # ---------------------------------------------------------------------------
 # 2. Worst-case rate table: the exact worst case found by the search equals
-#    the closed form for every row at n in 3..12.
+#    the closed form for every row at n in 3..16.
 
 TABLE_ROWS = [
     ("any-none", None),
@@ -107,7 +107,7 @@ TABLE_ROWS = [
     ("ii-disj-y1", None),
     ("ii-disj-last", None),
 ]
-TABLE_SIZES = range(3, 13)
+TABLE_SIZES = range(3, 17)
 
 
 def test_criterion_2_worst_case_table(report_line):

@@ -23,6 +23,10 @@ from acceptmax.bounds import (
     CLASSES,
     _branch_and_bound,
     _decision_bits,
+    _kind_options,
+    _pareto_minimal,
+    _threshold_rank,
+    agent_options,
     class_predicate,
     table1_formula,
     worst_case_rate,
@@ -127,6 +131,36 @@ def test_decision_bits_match_threshold_reference(n):
                 assert _decision_bits(a, decisions, outcome_of) == expected
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_rank_cap_keeps_the_full_listings_options(n):
+    # The search lists abs options only up to each class's threshold rank.
+    # The Pareto-minimal options it keeps, their order and their
+    # representatives must be those of the full listing, for every class,
+    # k, vote count and side.
+    feasible = frozenset(threshold_family(n))
+    for class_id in sorted(CLASSES):
+        ks = range(1, len(feasible) + 1) if CLASSES[class_id].needs_k else [None]
+        for k in ks:
+            kind, rank = CLASSES[class_id].agent_kind, _threshold_rank(class_id, k)
+            for votes_p in range(n + 1):
+                outcome_of = threshold_outcomes(n, votes_p)
+                decisions = [(t, outcome_of[t]) for t in sorted(feasible)]
+                capped = _kind_options(kind, n, votes_p, rank)
+
+                def kept(opts):
+                    return _pareto_minimal(
+                        (_decision_bits(a, decisions, outcome_of), a) for a in opts
+                    )
+
+                for vote in OUTCOMES:
+                    full = agent_options(class_id, n, votes_p, vote, feasible, k)
+                    capped_here = [
+                        a for a in capped
+                        if class_predicate(class_id, a, n, votes_p, feasible, vote, k)
+                    ]
+                    assert kept(capped_here) == kept(full), (class_id, k, votes_p, vote)
+
+
 def full_space_min(class_id, n, k=None):
     """Unreduced exhaustive minimum of the best acceptance count."""
     feasible = frozenset(threshold_family(n))
@@ -207,20 +241,29 @@ class TestExhaustive:
 
     def test_search_counters(self):
         report = worst_case_rate("abs-disj-r1", 5)
-        assert (report.options, report.kept, report.nodes) == (336, 36, 27)
+        # `options` counts the options listed under the rank cap: 12 per side
+        # and vote count, where the full listing has 28.
+        assert (report.options, report.kept, report.nodes) == (144, 36, 27)
 
     def test_witnesses_are_stable(self):
         # One digest over every whole row of `bounds all --n 3 ... --n 8 --k 2`:
         # rates, match, the search counters and the witness the multiset
-        # product found.
-        digest = hashlib.sha256()
+        # product found. The second digest leaves out `options`, which the
+        # rank cap changed; it was recorded over the full listing, so the
+        # cap moved no rate, witness, `kept` or `nodes`.
+        digest, without_options = hashlib.sha256(), hashlib.sha256()
         for class_id in sorted(CLASSES):
             k = 2 if CLASSES[class_id].needs_k else None
             for n in range(3, 9):
                 row = bounds_report_to_dict(worst_case_rate(class_id, n, k=k))
                 digest.update(dumps(row).encode() + b"\n")
+                del row["options"]
+                without_options.update(dumps(row).encode() + b"\n")
+        assert without_options.hexdigest() == (
+            "b97968f907e3a3f29ac010a84e2780ec9253ccf409934bc727f591b6bd944e01"
+        )
         assert digest.hexdigest() == (
-            "0b2e78632206c1dcb734e80b5d3b2dc46cc1fa07b13cae7378aaaf99030c70c8"
+            "9e7250fbcabbe2e418d4e417ac08ca59cba9e6e494381e231cd0b64a94bf9f96"
         )
 
 

@@ -391,6 +391,21 @@ class TestGen:
     def test_zero_count_prints_nothing(self, capsys):
         assert run_cli(capsys, "gen", "amendment", "--count", "0") == (0, "", "")
 
+    def test_stdout_digest_is_stable(self, capsys):
+        # One digest over (argv, exit code, stdout) of `gen` for every class
+        # and for amendment: `gen` samples from the full option listing, so a
+        # change in that listing or its order changes the instances printed.
+        digest = hashlib.sha256()
+        for class_id in sorted(cli.bounds.CLASSES) + ["amendment"]:
+            argv = ["gen", class_id, "--n", "5", "--n", "8", "--count", "3",
+                    "--seed", "11", "--k", "2"]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            digest.update(json.dumps([argv, code, out]).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "ba0a9992c4ae3bcea307874c1380b3c42e657551a185a42d61bb4321f81a8dd6"
+        )
+
 
 class TestSerializeRoundTrip:
     def test_adc_round_trip(self):
@@ -483,6 +498,20 @@ def test_solve_stdout_digest_is_stable(capsys, tmp_path):
     assert digest.hexdigest() == (
         "c8ffb6c0d21e3cac43b5f7a5e0a1d7c785389b032c41d817c98eb6bbafc9a927"
     )
+
+
+def test_solving_many_profiles_keeps_the_outcome_cache_bounded(capsys, tmp_path):
+    # Each (n, votes_p) caches an n-entry dict; 20 distinct vote counts must
+    # not leave 20 of them behind.
+    n = 20
+    for votes_p in range(n):
+        votes = "p" * votes_p + "r" * (n - votes_p)
+        agents = [{"type": "consequentialist", "Y": [v], "R_t": []} for v in votes]
+        path = tmp_path / f"votes-{votes_p}.json"
+        path.write_text(json.dumps({"kind": "adc", "n": n, "votes": votes, "agents": agents}))
+        code, _, _ = run_cli(capsys, "solve", str(path))
+        assert code == 0
+    assert adc.threshold_outcomes.cache_info().currsize <= 16
 
 
 class TestParserReuse:
