@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -58,21 +58,14 @@ def supermajority_outcome(t: int, votes_p: int, n: int) -> str:
     return PROPOSAL if votes_p >= t else STATUS_QUO
 
 
-@lru_cache(maxsize=None)
-def _rule_ids(n: int) -> dict:
-    """Threshold -> rule id ``t<t>`` for every ``t`` in ``[1, n]``, one string object each.
-
-    The bridge and ``AdcInstance.rule_ref`` take every id from here, so the
-    bridge builds no string per agent and the rule universe, the agents' sets
-    and the feasible set share the same objects: set and dict lookups reuse
-    each string's cached hash. The cached dict is shared, so it is only read.
-    """
-    return {t: f"t{t}" for t in range(1, n + 1)}
+def rule_id(t: int) -> str:
+    """The bridged rule id ``t<t>`` of threshold ``t``."""
+    return f"t{t}"
 
 
-def rule_threshold(rule_id: str) -> int:
-    """The threshold ``t`` of a bridged rule id ``t<t>``: the inverse of ``_rule_ids``."""
-    return int(rule_id[1:])
+def rule_threshold(rid: str) -> int:
+    """The threshold ``t`` of a bridged rule id ``t<t>``: the inverse of ``rule_id``."""
+    return int(rid[1:])
 
 
 class AdcAgent(NamedTuple):
@@ -153,9 +146,9 @@ class AdcInstance:
     def votes_p(self) -> int:
         return self.votes.count(PROPOSAL)
 
-    @property
+    @cached_property
     def rule_value(self) -> dict:
-        """Threshold -> outcome: the lookup ``core.max_accept`` tallies with."""
+        """Threshold -> outcome, built once: ``max_accept`` tallies with it, the bridge reads it."""
         return threshold_outcomes(self.n, self.votes_p)
 
     def feasible_rules(self) -> list:
@@ -170,27 +163,17 @@ class AdcInstance:
 
     def rule_ref(self, t: int) -> RuleRef:
         """The bridged rule of threshold ``t``: id ``t<t>``, valued at ``votes_p``."""
-        return RuleRef(_rule_ids(self.n)[t], self.rule_value[t])
+        return RuleRef(rule_id(t), self.rule_value[t])
 
 
-@lru_cache(maxsize=16)
 def threshold_outcomes(n: int, votes_p: int) -> dict:
-    """Each threshold ``t`` in ``[1, n]`` -> its outcome when ``votes_p`` agents back ``p``.
+    """Each threshold ``t`` in ``[1, n]``, ascending -> its outcome when ``votes_p`` back ``p``.
 
-    ``t`` selects ``p`` exactly when ``t <= votes_p``. This one cached,
-    read-only lookup is ``AdcInstance.rule_value``, which ``core.max_accept``
-    solves with, the source of the bridge's rule universe, and the lookup
-    ``bounds`` hands to ``core.substitute_absolute_disjunctivist``. The cache
-    keeps the 16 latest ``(n, votes_p)``: each entry is an n-entry dict, 8.4 MB
-    at n = 10^5, and a miss rebuilds it in about 0.2 ms at n = 3200.
+    ``t`` selects ``p`` exactly when ``t <= votes_p``. ``AdcInstance.rule_value``
+    holds this lookup for one instance; ``bounds`` builds one per vote count
+    and hands it to ``core.substitute_absolute_disjunctivist``.
     """
     return {t: PROPOSAL if t <= votes_p else STATUS_QUO for t in range(1, n + 1)}
-
-
-def _rule_universe(n: int, votes_p: int) -> tuple:
-    """The rule of every threshold ``t`` in ``[1, n]`` in ascending order, valued at ``votes_p``."""
-    ids, values = _rule_ids(n), threshold_outcomes(n, votes_p)
-    return tuple(map(RuleRef, ids.values(), values.values()))
 
 
 def adc_to_generic(instance: AdcInstance) -> GenericInstance:
@@ -199,10 +182,12 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
     The rule universe covers every threshold an agent may reference,
     including sub-majority ones; only the instance's feasible family
     members are feasible rules. The declared orders set the tie-break:
-    the status quo before the proposal, then ascending thresholds.
+    the status quo before the proposal, then ascending thresholds. The
+    rules are the instance's ``rule_value`` in key order; each id is built
+    once per call, so the rules and the agents' and feasible sets share it.
     """
-    n = instance.n
-    ids = _rule_ids(n)
+    values = instance.rule_value
+    ids = {t: rule_id(t) for t in values}
     agents = [
         SatisfyingSpec(
             frozenset(map(ids.__getitem__, a.thresholds)),
@@ -214,7 +199,7 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
     ]
     return GenericInstance(
         outcomes=instance.outcomes,
-        rules=_rule_universe(n, instance.votes_p),
+        rules=tuple(map(RuleRef, ids.values(), values.values())),
         feasible_outcomes=frozenset(OUTCOMES),
         feasible_rule_ids=frozenset(map(ids.__getitem__, instance.feasible_thresholds)),
         agents=tuple(agents),

@@ -48,7 +48,6 @@ Neither bound drops a branch holding a smaller minimum.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -188,26 +187,27 @@ def _ii_threshold_reps(n: int, votes_p: int):
     return reps
 
 
-@functools.cache
-def _realizable_feasible(n: int, votes_p: int, feasible) -> frozenset:
-    return frozenset(map(threshold_outcomes(n, votes_p).__getitem__, feasible))
+def _realizable(outcome_of: dict, feasible) -> frozenset:
+    """The outcomes the feasible thresholds select on the profile."""
+    return frozenset(map(outcome_of.__getitem__, feasible))
 
 
 def class_predicate(
     class_id: str,
     agent: AdcAgent,
-    n: int,
-    votes_p: int,
-    feasible,
     vote: str,
+    outcome_of: dict,
+    feasible: frozenset,
+    realizable: frozenset,
     k: int | None = None,
 ) -> bool:
-    """Whether one agent's satisfying set meets the class assumption."""
+    """Whether one agent's satisfying set meets the class assumption at one profile.
+
+    The caller builds the profile's ``outcome_of`` and ``_realizable`` once.
+    """
     if class_id == "any-none":
         return True
-    outcome_of = threshold_outcomes(n, votes_p)
-    realizable = _realizable_feasible(n, votes_p, feasible)
-    r_feas = agent.thresholds & frozenset(feasible)
+    r_feas = agent.thresholds & feasible
     if class_id == "abs-conj-consistent":
         return vote in agent.outcomes and bool(r_feas)
     if class_id == "abs-conj-realizable":
@@ -263,10 +263,12 @@ def agent_options(class_id, n, votes_p, vote, feasible, k=None):
 
     The full listing, uncapped: ``gen`` samples from it.
     """
+    outcome_of = threshold_outcomes(n, votes_p)
+    realizable = _realizable(outcome_of, feasible)
     return [
         a
         for a in _kind_options(CLASSES[class_id].agent_kind, n, votes_p)
-        if class_predicate(class_id, a, n, votes_p, feasible, vote, k)
+        if class_predicate(class_id, a, vote, outcome_of, feasible, realizable, k)
     ]
 
 
@@ -349,9 +351,9 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
 
     The best count carries over from one vote count to the next, so the
     witness is the first minimal multiset at the first vote count that
-    reaches the minimum. Each vote count's options are listed up to the
-    class's rank and scored once; each side then keeps those its voters
-    may hold.
+    reaches the minimum. Each vote count's lookup and realizable outcomes
+    are built once, and its options are listed up to the class's rank and
+    scored once; each side then keeps those its voters may hold.
     """
     if class_id not in CLASSES:
         raise ValidationError(f"unknown class {class_id!r}")
@@ -362,6 +364,7 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
     options = kept = nodes = 0
     for votes_p in range(n + 1):
         outcome_of = threshold_outcomes(n, votes_p)
+        realizable = _realizable(outcome_of, feasible)
         decisions = [(t, outcome_of[t]) for t in sorted(feasible)]
         scored = [
             (_decision_bits(a, decisions, outcome_of), a)
@@ -372,7 +375,7 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
             opts = [
                 (bits, a)
                 for bits, a in scored
-                if class_predicate(class_id, a, n, votes_p, feasible, vote, k)
+                if class_predicate(class_id, a, vote, outcome_of, feasible, realizable, k)
             ]
             bits = _pareto_minimal(opts)
             options += len(opts)

@@ -1,6 +1,7 @@
 """Command line interface: solve instances, run amendments, verify bounds, generate instances.
 
-Exit codes: 0 success, 1 verification mismatch, 2 input error.
+Exit codes: 0 success, 1 verification mismatch, 2 input error, 141 stdout
+closed by its reader (128 + SIGPIPE, as in ``acceptmax bounds all ... | head -1``).
 
 ``main`` can be called any number of times in one process. The argument
 parser is built on the first call and reused after that: it holds no
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import random
 import sys
 
@@ -20,6 +22,7 @@ from . import adc, amendment, bounds, core, serialize
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141
 
 
 def cmd_solve(args) -> int:
@@ -203,6 +206,13 @@ def main(argv=None) -> int:
     except (serialize.ParseError, core.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader has gone. Later writes, and the interpreter's final
+        # flush of what is still buffered, go to the null device instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

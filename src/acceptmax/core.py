@@ -7,8 +7,9 @@ and on whether they care which rule was actually implemented or only what
 it produced ("implementation indifference").
 
 Since a single instance observes a single profile, rules are represented
-extensionally by the outcome they select on that profile. Everything here
-is an immutable value; all operations are pure functions and safe to call
+extensionally by the outcome they select on that profile; each instance
+owns that rule -> outcome lookup as its ``rule_value``. Everything here is
+an immutable value; all operations are pure functions and safe to call
 concurrently.
 
 Acceptance has one closed form, the substitution
@@ -205,7 +206,7 @@ def substitute_absolute_disjunctivist(agent, rule_value) -> tuple:
     ``agent`` is read by position as (rules, outcomes, conjunctive,
     implementation_indifferent), the layout of ``SatisfyingSpec`` and of
     ``adc.AdcAgent``. ``rule_value`` maps each rule to the outcome it selects
-    on the profile: ``GenericInstance.rule_value``, or ``adc.threshold_outcomes``.
+    on the profile: an instance's ``rule_value``, or ``adc.threshold_outcomes``.
     The agent accepts (r, y) exactly when y is in Y' or r is in R'.
     Implementation-indifferent rule concerns collapse into the outcomes those
     rules realize; conjunctive rule sets keep only the rules whose realized

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
+import acceptmax
 from acceptmax.adc import (
     OUTCOMES,
     PROPOSAL,
@@ -22,6 +24,18 @@ from acceptmax.core import (
     SatisfyingSpec,
     substitute_absolute_disjunctivist,
 )
+
+def cli_child_env() -> dict:
+    """The environment for a ``python -m acceptmax.cli`` child process.
+
+    The child must import the package under test, also when pytest's
+    ``pythonpath`` setting (not the environment) put it on sys.path.
+    """
+    package_root = os.path.dirname(os.path.dirname(acceptmax.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
 
 OUTCOME_UNIVERSE = ("A", "B", "C")
 TYPE_FLAGS = [

@@ -8,7 +8,6 @@ capture). Expected total runtime is under a minute on one core.
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -16,7 +15,6 @@ import time
 
 import pytest
 
-import acceptmax
 from acceptmax.adc import (
     OUTCOMES,
     PROPOSAL,
@@ -44,6 +42,7 @@ from acceptmax.core import (
 from conftest import (
     adc_accepts,
     adc_decisions,
+    cli_child_env,
     homogeneous_suite,
     majority_count,
     random_generic_instance,
@@ -267,18 +266,11 @@ def test_criterion_6_majority_rule_floor(report_line):
 
 
 def run_cli_bytes(args):
-    # The child must import the package under test, also when pytest's
-    # ``pythonpath`` setting (not the environment) put it on sys.path.
-    package_root = os.path.dirname(os.path.dirname(acceptmax.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "acceptmax.cli", *args],
         capture_output=True,
         check=False,
-        env=env,
+        env=cli_child_env(),
     )
     return proc.returncode, proc.stdout
 

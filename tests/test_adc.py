@@ -12,18 +12,17 @@ from acceptmax.adc import (
     STATUS_QUO,
     AdcAgent,
     AdcInstance,
-    _rule_ids,
-    _rule_universe,
     adc_to_generic,
     delta_of,
     majority_threshold,
+    rule_id,
     rule_threshold,
     supermajority_outcome,
     threshold_family,
     threshold_of,
     threshold_outcomes,
 )
-from acceptmax.bounds import _realizable_feasible
+from acceptmax.bounds import _realizable
 from acceptmax.core import (
     GenericInstance,
     RuleRef,
@@ -122,10 +121,14 @@ class TestThresholds:
             assert threshold_outcomes(n, v) == {
                 t: supermajority_outcome(t, v, n) for t in range(1, n + 1)
             }
+            # The bridge pairs the lookup's keys with its values in this order.
+            assert list(threshold_outcomes(n, v)) == list(range(1, n + 1))
 
     @pytest.mark.parametrize("n", [2, 9, 10, 123])
     def test_rule_threshold_inverts_rule_ids(self, n):
-        assert [rule_threshold(rid) for rid in _rule_ids(n).values()] == list(range(1, n + 1))
+        ids = [rule_id(t) for t in range(1, n + 1)]
+        assert ids == [f"t{t}" for t in range(1, n + 1)]
+        assert [rule_threshold(rid) for rid in ids] == list(range(1, n + 1))
 
     def test_threshold_of_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -172,11 +175,9 @@ class TestInstanceValidation:
 
     def test_realizable_outcomes(self):
         inst = AdcInstance(("p", "p", "r"), (agent(),) * 3)
-        assert _realizable_feasible(3, inst.votes_p, inst.feasible_thresholds) == {"p", "r"}
+        assert _realizable(inst.rule_value, inst.feasible_thresholds) == {"p", "r"}
         unanimous = AdcInstance(("p", "p", "p"), (agent(),) * 3)
-        assert _realizable_feasible(
-            3, unanimous.votes_p, unanimous.feasible_thresholds
-        ) == {"p"}
+        assert _realizable(unanimous.rule_value, unanimous.feasible_thresholds) == {"p"}
 
 
 class TestConsequentialists:
@@ -343,7 +344,8 @@ class TestBridge:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_rule_universe_values_every_threshold(self, n):
         for votes_p in range(n + 1):
-            assert _rule_universe(n, votes_p) == tuple(
+            inst = AdcInstance(("p",) * votes_p + ("r",) * (n - votes_p), (agent(),) * n)
+            assert adc_to_generic(inst).rules == tuple(
                 RuleRef(f"t{t}", supermajority_outcome(t, votes_p, n)) for t in range(1, n + 1)
             )
 

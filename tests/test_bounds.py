@@ -25,6 +25,7 @@ from acceptmax.bounds import (
     _decision_bits,
     _kind_options,
     _pareto_minimal,
+    _realizable,
     _threshold_rank,
     agent_options,
     class_predicate,
@@ -95,9 +96,10 @@ class TestEnumeration:
             k = 1 if CLASSES[class_id].needs_k else None
             seen = 0
             for inst in enumerate_instances(class_id, 3, k):
+                realizable = _realizable(inst.rule_value, feasible)
                 for agent, vote in zip(inst.agents, inst.votes):
                     assert class_predicate(
-                        class_id, agent, 3, inst.votes_p, feasible, vote, k
+                        class_id, agent, vote, inst.rule_value, feasible, realizable, k
                     )
                 seen += 1
             assert seen > 0
@@ -144,6 +146,7 @@ def test_rank_cap_keeps_the_full_listings_options(n):
             kind, rank = CLASSES[class_id].agent_kind, _threshold_rank(class_id, k)
             for votes_p in range(n + 1):
                 outcome_of = threshold_outcomes(n, votes_p)
+                realizable = _realizable(outcome_of, feasible)
                 decisions = [(t, outcome_of[t]) for t in sorted(feasible)]
                 capped = _kind_options(kind, n, votes_p, rank)
 
@@ -156,7 +159,9 @@ def test_rank_cap_keeps_the_full_listings_options(n):
                     full = agent_options(class_id, n, votes_p, vote, feasible, k)
                     capped_here = [
                         a for a in capped
-                        if class_predicate(class_id, a, n, votes_p, feasible, vote, k)
+                        if class_predicate(
+                            class_id, a, vote, outcome_of, feasible, realizable, k
+                        )
                     ]
                     assert kept(capped_here) == kept(full), (class_id, k, votes_p, vote)
 
@@ -168,9 +173,11 @@ def full_space_min(class_id, n, k=None):
     best = None
     for votes in itertools.product(OUTCOMES, repeat=n):
         votes_p = sum(1 for v in votes if v == PROPOSAL)
+        outcome_of = threshold_outcomes(n, votes_p)
+        realizable = _realizable(outcome_of, feasible)
         per_agent = [
             [a for a in full_kind_options(kind, n)
-             if class_predicate(class_id, a, n, votes_p, feasible, v, k)]
+             if class_predicate(class_id, a, v, outcome_of, feasible, realizable, k)]
             for v in votes
         ]
         if any(not opts for opts in per_agent):
@@ -233,9 +240,11 @@ class TestExhaustive:
         k = 2 if CLASSES[class_id].needs_k else None
         report = worst_case_rate(class_id, n, k=k)
         w = report.witness
+        feasible = w.feasible_thresholds
+        realizable = _realizable(w.rule_value, feasible)
         for agent, vote in zip(w.agents, w.votes):
             assert class_predicate(
-                class_id, agent, n, w.votes_p, w.feasible_thresholds, vote, k
+                class_id, agent, vote, w.rule_value, feasible, realizable, k
             )
         assert Fraction(oracle_count(w), n) == report.observed_min_rate
 

@@ -7,6 +7,9 @@ import hashlib
 import io
 import json
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,7 @@ from acceptmax.adc import AdcInstance, adc_to_generic
 from acceptmax.amendment import AmendmentInstance, VotePolicy
 from acceptmax.core import max_accept
 
-from conftest import random_adc_instance, random_generic_instance
+from conftest import cli_child_env, random_adc_instance, random_generic_instance
 
 ADC_CONSEQ = {
     "kind": "adc",
@@ -500,18 +503,64 @@ def test_solve_stdout_digest_is_stable(capsys, tmp_path):
     )
 
 
-def test_solving_many_profiles_keeps_the_outcome_cache_bounded(capsys, tmp_path):
-    # Each (n, votes_p) caches an n-entry dict; 20 distinct vote counts must
-    # not leave 20 of them behind.
-    n = 20
-    for votes_p in range(n):
+def test_solving_many_instances_retains_no_per_instance_state(capsys, tmp_path):
+    # Each instance owns its threshold -> outcome lookup and the winner's id:
+    # 20 solves at distinct n ~ 2 000 and distinct vote counts must leave
+    # nothing of them behind, in the threshold lookups or in rule ids.
+    paths = []
+    for i in range(20):
+        n, votes_p = 2000 + i, 50 * i + 7
         votes = "p" * votes_p + "r" * (n - votes_p)
         agents = [{"type": "consequentialist", "Y": [v], "R_t": []} for v in votes]
-        path = tmp_path / f"votes-{votes_p}.json"
+        path = tmp_path / f"instance-{i}.json"
         path.write_text(json.dumps({"kind": "adc", "n": n, "votes": votes, "agents": agents}))
-        code, _, _ = run_cli(capsys, "solve", str(path))
-        assert code == 0
-    assert adc.threshold_outcomes.cache_info().currsize <= 16
+        paths.append(str(path))
+    run_cli(capsys, "solve", paths[0])  # warm-up: the parser and lazy imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for path in paths:
+            code, _, _ = run_cli(capsys, "solve", path)
+            assert code == 0
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000, f"{retained} bytes retained after 20 solves"
+
+
+def _close_after_first_line(*argv):
+    """Run the CLI, close its stdout after the first line; return (exit code, stderr)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "acceptmax.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert first.startswith(b"{")
+    return code, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Both print far more than a pipe holds (about 120 kB and 4 MB), so
+        # the child is still writing when the reader goes.
+        ["bounds", "all", *[f"--n={n}" for n in range(3, 17)], "--k", "2"],
+        ["gen", "any-none", "--n", "5", "--count", "20000"],
+    ],
+    ids=["bounds", "gen"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    code, err = _close_after_first_line(*argv)
+    assert code == cli.EXIT_PIPE == 141
+    assert err == b""
 
 
 class TestParserReuse:
