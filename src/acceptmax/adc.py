@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from .core import GenericInstance, RuleRef, SatisfyingSpec, ValidationError
@@ -97,41 +96,26 @@ class AdcInstance:
             raise ValidationError("instance has no votes")
         if not all(map(OUTCOMES.__contains__, self.votes)):
             raise ValidationError("votes must be 'r' or 'p'")
+        family = frozenset(threshold_family(n))
         if self.feasible_thresholds is None:
-            object.__setattr__(
-                self, "feasible_thresholds", frozenset(threshold_family(n))
-            )
-        family = set(threshold_family(n))
-        if (
-            not self.feasible_thresholds
-            or not set(self.feasible_thresholds) <= family
-            or any(type(t) is not int for t in self.feasible_thresholds)
-        ):
+            object.__setattr__(self, "feasible_thresholds", family)
+        feasible = self.feasible_thresholds
+        if not feasible or any(type(t) is not int or t not in family for t in feasible):
             raise ValidationError("feasible thresholds must be a nonempty family subset")
         if len(self.agents) != n:
             raise ValidationError("agent count must match vote count")
-        # The whole instance is checked at once; only if that fails does the
-        # per-agent loop run, to name the first bad agent. Types are checked
-        # per element: a union keeps one of the equal ``1``, ``1.0`` and ``True``.
-        agents = self.agents
-        outcome_universe = set(OUTCOMES)
-        thresholds = [a.thresholds for a in agents]
-        union = set().union(*thresholds)
-        if (
-            set(map(type, chain.from_iterable(thresholds))) <= {int}
-            and set().union(*[a.outcomes for a in agents]) <= outcome_universe
-            and (not union or (min(union) >= 1 and max(union) <= n))
-            and set().union(
-                *[a.thresholds for a in agents if not a.implementation_indifferent]
-            ) <= family
-        ):
-            return
-        for idx, agent in enumerate(agents):
-            if not agent.outcomes <= outcome_universe:
+        # Types are checked per element: ``2.0`` and ``True`` equal and hash
+        # like the ints ``2`` and ``1``, so a set test alone lets them in.
+        outcome_universe = frozenset(OUTCOMES)
+        for idx, agent in enumerate(self.agents):
+            if not outcome_universe.issuperset(agent.outcomes):
                 raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
-            if any(type(t) is not int or not 1 <= t <= n for t in agent.thresholds):
-                raise ValidationError(f"agent {idx} thresholds must be integers in [1, {n}]")
-            if not agent.implementation_indifferent and not agent.thresholds <= family:
+            for t in agent.thresholds:
+                if type(t) is not int or not 1 <= t <= n:
+                    raise ValidationError(
+                        f"agent {idx} thresholds must be integers in [1, {n}]"
+                    )
+            if not agent.implementation_indifferent and not family.issuperset(agent.thresholds):
                 # Sub-majority thresholds only ever matter counterfactually.
                 raise ValidationError(
                     f"agent {idx} is not implementation-indifferent; "

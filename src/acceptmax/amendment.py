@@ -52,10 +52,11 @@ class AmendmentInstance:
         n = len(self.peaks)
         if n == 0:
             raise ValidationError("instance has no agents")
+        # ``2.0 in range(2, 4)`` holds, so each value's type is checked too.
         family = threshold_family(n)
-        if any(p not in family for p in self.peaks):
+        if any(type(p) is not int or p not in family for p in self.peaks):
             raise ValidationError("peak outside the feasible threshold family")
-        if self.status_quo not in family:
+        if type(self.status_quo) is not int or self.status_quo not in family:
             raise ValidationError("status quo outside the feasible threshold family")
         object.__setattr__(self, "vote_policy", VotePolicy(self.vote_policy))
 

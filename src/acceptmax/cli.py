@@ -97,11 +97,12 @@ def _gen_adc(class_id, n, rng, k):
     for _attempt in range(10_000):
         votes = tuple(rng.choice(adc.OUTCOMES) for _ in range(n))
         votes_p = sum(1 for v in votes if v == adc.PROPOSAL)
-        per_agent = [
-            bounds.agent_options(class_id, n, votes_p, v, feasible, k) for v in votes
-        ]
-        if all(per_agent):
-            agents = tuple(rng.choice(opts) for opts in per_agent)
+        # An agent's options depend only on its vote: list each vote's once.
+        options = {
+            v: bounds.agent_options(class_id, n, votes_p, v, feasible, k) for v in set(votes)
+        }
+        if all(options.values()):
+            agents = tuple(rng.choice(options[v]) for v in votes)
             return adc.AdcInstance(votes, agents, feasible)
     raise core.ValidationError(f"class {class_id!r} unsatisfiable for n={n}")
 

@@ -109,9 +109,9 @@ class GenericInstance:
         if not self.agents:
             raise ValidationError("instance has no agents")
         for idx, agent in enumerate(self.agents):
-            if not agent.rule_ids <= rule_universe:
+            if not rule_universe.issuperset(agent.rule_ids):
                 raise ValidationError(f"agent {idx} references unknown rule ids")
-            if not agent.outcomes <= outcome_universe:
+            if not outcome_universe.issuperset(agent.outcomes):
                 raise ValidationError(f"agent {idx} references unknown outcomes")
         if not any(
             r.id in self.feasible_rule_ids and r.value_at_profile in self.feasible_outcomes

@@ -54,6 +54,26 @@ def threshold_oracle_count(inst):
     )
 
 
+def reference_validation_message(agents, n):
+    """The message ``AdcInstance`` must raise for these agents, or None if they are valid.
+
+    Agents are checked in order, each for outcomes, then integer thresholds
+    in [1, n], then (unless implementation-indifferent) family thresholds.
+    """
+    family = set(threshold_family(n))
+    for idx, a in enumerate(agents):
+        if any(y not in OUTCOMES for y in a.outcomes):
+            return f"agent {idx} outcomes outside {{r, p}}"
+        if any(type(t) is not int or not 1 <= t <= n for t in a.thresholds):
+            return f"agent {idx} thresholds must be integers in [1, {n}]"
+        if not a.implementation_indifferent and any(t not in family for t in a.thresholds):
+            return (
+                f"agent {idx} is not implementation-indifferent; "
+                "thresholds must be feasible-family members"
+            )
+    return None
+
+
 class TestAgentRecord:
     """An ``AdcAgent`` is an immutable value: equal fields, equal and same hash."""
 
@@ -168,6 +188,62 @@ class TestInstanceValidation:
         agents = (agent(R={2}, ii=ii), agent(R=frozenset({2.0}), ii=ii), agent(R={3}, ii=ii))
         with pytest.raises(ValidationError, match=r"agent 1 thresholds must be integers"):
             AdcInstance(("p", "p", "r"), agents)
+
+    def test_tuple_valued_agents_are_checked_like_frozensets(self):
+        good = AdcAgent((2, 3), ("p",), False, False)
+        AdcInstance(("p", "p", "r"), (good, AdcAgent((1,), ("r",), False, True), good))
+        bad = AdcAgent((1,), ("r",), False, False)
+        with pytest.raises(ValidationError, match="^agent 1 is not implementation-indifferent"):
+            AdcInstance(("p", "p", "r"), (good, bad, good))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_planted_bad_elements_get_the_reference_message(self, seed, n, plants):
+        rng = random.Random(seed)
+        family = list(threshold_family(n))
+        agents = []
+        for _ in range(n):
+            ii = rng.random() < 0.5
+            pool = range(1, n + 1) if ii else family
+            agents.append(
+                [
+                    {t for t in pool if rng.random() < 0.4},
+                    {o for o in OUTCOMES if rng.random() < 0.5},
+                    rng.random() < 0.5,
+                    ii,
+                ]
+            )
+        for _ in range(plants):
+            thresholds, outcomes, _, ii = rng.choice(agents)
+            bad = rng.choice(["float", "bool", "str", "zero", "n+1", "sub-majority", "outcome"])
+            if bad == "outcome":
+                outcomes.add(rng.choice(["x", "", 0, "R"]))
+            elif bad == "sub-majority" and not ii:
+                thresholds.add(rng.randrange(1, majority_threshold(n)))
+            else:
+                thresholds.add(
+                    {
+                        "float": float(rng.randint(1, n)),
+                        "bool": rng.random() < 0.5,
+                        "str": str(rng.randint(1, n)),
+                        "zero": 0,
+                        "n+1": n + 1,
+                        "sub-majority": 1,  # on an ii agent: valid
+                    }[bad]
+                )
+        agents = tuple(AdcAgent(frozenset(R), frozenset(Y), c, ii) for R, Y, c, ii in agents)
+        votes = tuple(rng.choice(OUTCOMES) for _ in range(n))
+        expected = reference_validation_message(agents, n)
+        if expected is None:
+            assert AdcInstance(votes, agents).agents == agents
+        else:
+            with pytest.raises(ValidationError) as exc:
+                AdcInstance(votes, agents)
+            assert str(exc.value) == expected
 
     def test_float_feasible_threshold_rejected(self):
         with pytest.raises(ValidationError, match="feasible thresholds"):

@@ -16,8 +16,15 @@ from acceptmax.amendment import (
     induce_profile,
     step_accepted_by,
 )
-from acceptmax.adc import majority_threshold, threshold_family
-from acceptmax.core import ValidationError
+from acceptmax.adc import (
+    PROPOSAL,
+    AdcAgent,
+    AdcInstance,
+    majority_threshold,
+    rule_id,
+    threshold_family,
+)
+from acceptmax.core import ValidationError, max_accept
 
 POLICIES = list(VotePolicy)
 
@@ -146,7 +153,80 @@ class TestUniversalAcceptance:
             assert trace.final_outcome == h_threshold(inst.peaks, 5)
 
 
+def ii_disjunctivist(peak, vote):
+    return AdcAgent(frozenset({peak}), frozenset({vote}), False, True)
+
+
+def absolute_disjunctivist(peak, vote):
+    return AdcAgent(frozenset({peak}), frozenset({vote}), False, False)
+
+
+def ii_proceduralist(peak, vote):
+    return AdcAgent(frozenset({peak}), frozenset(), False, True)
+
+
+def ballot_instance(peaks, r, votes, make_agent=ii_disjunctivist):
+    """A ballot as an adc instance: the induced votes, the incumbent ``r`` the only feasible rule.
+
+    Agent i reads its peak as its one acceptable threshold and its vote as
+    its one acceptable outcome, with the flags ``make_agent`` gives it.
+    """
+    return AdcInstance(votes, tuple(map(make_agent, peaks, votes)), frozenset({r}))
+
+
+class TestBallotsAsAdcInstances:
+    """Each ballot's winner and accepters equal ``max_accept`` on the ballot's adc instance.
+
+    Amendment (Abramowitz et al. 2021) is universally accepted by ii
+    disjunctivists. That is what ``step_accepted_by`` decides, and here it
+    is checked against the one acceptance definition in ``acceptmax.core``.
+    """
+
+    def test_every_ballot_up_to_n_6(self):
+        for n in range(2, 7):
+            family = threshold_family(n)
+            for peaks in itertools.product(family, repeat=n):
+                for sq in family:
+                    for policy in POLICIES:
+                        inst = AmendmentInstance(peaks, sq, policy)
+                        ballots = [
+                            (s.status_quo, s.proposal, s.votes, s.outcome, s.accepted_by)
+                            for s in amend_iterative(inst).steps
+                        ]
+                        one = amend_one_step(inst)
+                        if one.votes is not None:
+                            ballots.append(
+                                (one.rule, one.stable, one.votes, one.outcome, one.accepted_by)
+                            )
+                        for r, p, votes, outcome, accepted_by in ballots:
+                            report = max_accept(ballot_instance(peaks, r, votes))
+                            winner = p if report.decision.outcome == PROPOSAL else r
+                            assert report.decision.rule.id == rule_id(r)
+                            assert (winner, report.accepted_by) == (outcome, accepted_by)
+
+    @pytest.mark.parametrize(
+        "peaks, make_agent, accepted",
+        [((2, 2, 3), absolute_disjunctivist, 2), ((2, 3, 3), ii_proceduralist, 1)],
+        ids=["absolute-disjunctivist", "ii-proceduralist"],
+    )
+    def test_universality_depends_on_agent_type(self, peaks, make_agent, accepted):
+        inst = AmendmentInstance(peaks, 2, VotePolicy.NEARER)
+        (step,) = amend_iterative(inst).steps
+        assert len(step.accepted_by) == 3
+        report = max_accept(ballot_instance(peaks, 2, step.votes, make_agent))
+        assert report.acceptance_count == accepted
+
+
 class TestValidation:
+    @pytest.mark.parametrize(
+        "peaks, status_quo",
+        [((3.0, 3, 3), 2), ((3, 3, 3), 2.0), ((True,), 1), ((1,), True)],
+    )
+    def test_non_int_peak_or_status_quo_rejected(self, peaks, status_quo):
+        # Each equals a family member, so a bare ``in range`` test lets it in.
+        with pytest.raises(ValidationError):
+            AmendmentInstance(peaks, status_quo)
+
     def test_peak_outside_family(self):
         with pytest.raises(ValidationError):
             AmendmentInstance((1, 3, 3), status_quo=3)

@@ -64,6 +64,13 @@ class TestModel:
         with pytest.raises(ValidationError):
             make_instance([spec(Y={"Z"})])
 
+    def test_list_valued_agents_are_checked_like_frozensets(self):
+        make_instance([SatisfyingSpec(["r1"], ["A"])])
+        with pytest.raises(ValidationError, match="^agent 1 references unknown rule ids"):
+            make_instance([spec(), SatisfyingSpec(["r0"], ["A"])])
+        with pytest.raises(ValidationError, match="^agent 1 references unknown outcomes"):
+            make_instance([spec(), SatisfyingSpec(["r1"], ["Z"])])
+
     def test_no_feasible_decision_rejected(self):
         with pytest.raises(ValidationError):
             GenericInstance(
