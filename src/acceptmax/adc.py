@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import GenericInstance, RuleRef, SatisfyingSpec, ValidationError
+from .core import GenericInstance, RuleRef, SatisfyingSpec, ValidationError, freeze_agents
 
 STATUS_QUO = "r"
 PROPOSAL = "p"
@@ -107,20 +107,25 @@ class AdcInstance:
         # Types are checked per element: ``2.0`` and ``True`` equal and hash
         # like the ints ``2`` and ``1``, so a set test alone lets them in.
         outcome_universe = frozenset(OUTCOMES)
-        for idx, agent in enumerate(self.agents):
-            if not outcome_universe.issuperset(agent.outcomes):
+        loose = []
+        for idx, (thresholds, outcomes, _, indifferent) in enumerate(self.agents):
+            if not outcome_universe.issuperset(outcomes):
                 raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
-            for t in agent.thresholds:
+            for t in thresholds:
                 if type(t) is not int or not 1 <= t <= n:
                     raise ValidationError(
                         f"agent {idx} thresholds must be integers in [1, {n}]"
                     )
-            if not agent.implementation_indifferent and not family.issuperset(agent.thresholds):
+            if not indifferent and not family.issuperset(thresholds):
                 # Sub-majority thresholds only ever matter counterfactually.
                 raise ValidationError(
                     f"agent {idx} is not implementation-indifferent; "
                     "thresholds must be feasible-family members"
                 )
+            if type(thresholds) is not frozenset or type(outcomes) is not frozenset:
+                loose.append(idx)
+        if loose:
+            object.__setattr__(self, "agents", freeze_agents(self.agents, loose, AdcAgent))
 
     @cached_property
     def n(self) -> int:

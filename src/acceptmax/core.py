@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 
@@ -80,6 +81,20 @@ class SatisfyingSpec(NamedTuple):
     implementation_indifferent: bool = False
 
 
+def freeze_agents(agents, loose, record) -> tuple:
+    """``agents`` with the records at the indices ``loose`` rebuilt as ``record``s of frozensets.
+
+    The instances accept tuple, list or set fields and store them this way,
+    so the tally reads hashed sets whose repeated elements count once.
+    Records whose sets are already frozensets are kept as they are.
+    """
+    agents = list(agents)
+    for idx in loose:
+        rules, outcomes, conjunctive, indifferent = agents[idx]
+        agents[idx] = record(frozenset(rules), frozenset(outcomes), conjunctive, indifferent)
+    return tuple(agents)
+
+
 @dataclass(frozen=True)
 class GenericInstance:
     """One decision problem: universes, feasible subsets and the agents."""
@@ -108,11 +123,16 @@ class GenericInstance:
             raise ValidationError("feasible rules outside the rule universe")
         if not self.agents:
             raise ValidationError("instance has no agents")
-        for idx, agent in enumerate(self.agents):
-            if not rule_universe.issuperset(agent.rule_ids):
+        loose = []
+        for idx, (rule_ids, outcomes, _, _) in enumerate(self.agents):
+            if not rule_universe.issuperset(rule_ids):
                 raise ValidationError(f"agent {idx} references unknown rule ids")
-            if not outcome_universe.issuperset(agent.outcomes):
+            if not outcome_universe.issuperset(outcomes):
                 raise ValidationError(f"agent {idx} references unknown outcomes")
+            if type(rule_ids) is not frozenset or type(outcomes) is not frozenset:
+                loose.append(idx)
+        if loose:
+            object.__setattr__(self, "agents", freeze_agents(self.agents, loose, SatisfyingSpec))
         if not any(
             r.id in self.feasible_rule_ids and r.value_at_profile in self.feasible_outcomes
             for r in self.rules
@@ -205,22 +225,26 @@ def substitute_absolute_disjunctivist(agent, rule_value) -> tuple:
 
     ``agent`` is read by position as (rules, outcomes, conjunctive,
     implementation_indifferent), the layout of ``SatisfyingSpec`` and of
-    ``adc.AdcAgent``. ``rule_value`` maps each rule to the outcome it selects
-    on the profile: an instance's ``rule_value``, or ``adc.threshold_outcomes``.
+    ``adc.AdcAgent``, with frozenset sets as the instances store them.
+    ``rule_value`` maps each rule to the outcome it selects on the profile:
+    an instance's ``rule_value``, or ``adc.threshold_outcomes``.
     The agent accepts (r, y) exactly when y is in Y' or r is in R'.
     Implementation-indifferent rule concerns collapse into the outcomes those
     rules realize; conjunctive rule sets keep only the rules whose realized
-    outcome is acceptable. An absolute disjunctivist gets its own two sets
+    outcome is acceptable. An absolute disjunctivist, and an
+    implementation-indifferent disjunctivist without rules, gets its own sets
     back. The always-empty side is one shared empty frozenset.
     """
     rules, outcomes, conjunctive, indifferent = agent
     if indifferent:
-        realized = frozenset(map(rule_value.__getitem__, rules))
+        if not rules:
+            return _EMPTY, _EMPTY if conjunctive else outcomes
         if conjunctive:
-            return _EMPTY, outcomes & realized
-        return _EMPTY, outcomes | realized
+            return _EMPTY, outcomes.intersection(map(rule_value.__getitem__, rules))
+        return _EMPTY, outcomes.union(map(rule_value.__getitem__, rules))
     if conjunctive:
-        return frozenset(r for r in rules if rule_value[r] in outcomes), _EMPTY
+        realized_ok = map(outcomes.__contains__, map(rule_value.__getitem__, rules))
+        return frozenset(compress(rules, realized_ok)), _EMPTY
     return rules, outcomes
 
 
@@ -252,9 +276,10 @@ def max_accept(instance) -> SolveReport:
     for rule_ids, outcomes in pairs:
         for y in outcomes:
             outcome_count[y] += 1
-        for rid in rule_ids:
-            if values[rid] not in outcomes:
-                rule_count[rid] += 1
+        if rule_ids:
+            for rid in rule_ids:
+                if values[rid] not in outcomes:
+                    rule_count[rid] += 1
     best, best_count = None, -1
     for rid in instance.feasible_rules():
         count = outcome_count[values[rid]] + rule_count[rid]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 
 from . import adc, amendment, core
 
@@ -41,6 +42,14 @@ _EMPTY_OUTCOMES = ("absolute_proceduralist", "ii_proceduralist")
 # thresholds are type-checked with their range in ``AdcInstance``, and an
 # agent's ids and outcomes must lie in universes of strings checked once per
 # instance.
+#
+# Agent records are built with ``tuple.__new__``, which skips the argument
+# binding of the NamedTuple's generated ``__new__`` and gives the same record
+# of the same type. An absent list field reads as the shared ``_ABSENT``
+# list, which is never mutated, so no empty list is built per agent.
+
+_record = tuple.__new__
+_ABSENT = []
 
 
 def _not_object(obj, where) -> ParseError:
@@ -101,8 +110,7 @@ def _agent_head(obj, i, *keys):
 
 
 def fraction_to_dict(value: Fraction) -> dict:
-    f = Fraction(value)
-    return {"num": f.numerator, "den": f.denominator}
+    return {"num": value.numerator, "den": value.denominator}
 
 
 def fraction_from_obj(obj, where) -> Fraction:
@@ -135,7 +143,7 @@ def _parse_adc_agent(obj, i, n):
         outcomes = obj["Y"]
     except (KeyError, TypeError):
         type_name, (conj, ii), (outcomes,) = _agent_head(obj, i, "Y")
-    r_t, r_delta = obj.get("R_t", []), obj.get("R_delta", [])
+    r_t, r_delta = obj.get("R_t", _ABSENT), obj.get("R_delta", _ABSENT)
     if not (isinstance(outcomes, list) and isinstance(r_t, list) and isinstance(r_delta, list)):
         raise _not_list(f"agents[{i}]", Y=outcomes, R_t=r_t, R_delta=r_delta)
     try:
@@ -149,7 +157,7 @@ def _parse_adc_agent(obj, i, n):
         raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
     if type_name in _EMPTY_OUTCOMES and outcomes:
         raise ParseError(f"agents[{i}]: type {type_name!r} must have no outcome set")
-    return adc.AdcAgent(thresholds, outcomes, conj, ii)
+    return _record(adc.AdcAgent, (thresholds, outcomes, conj, ii))
 
 
 def parse_adc(obj) -> adc.AdcInstance:
@@ -160,10 +168,8 @@ def parse_adc(obj) -> adc.AdcInstance:
     votes = tuple(votes)
     if len(votes) != n:
         raise ParseError(f"adc instance: expected {n} votes, got {len(votes)}")
-    agents = tuple(
-        _parse_adc_agent(a, i, n)
-        for i, a in enumerate(_list_field(obj, "agents", "adc instance"))
-    )
+    agents = _list_field(obj, "agents", "adc instance")
+    agents = tuple(map(_parse_adc_agent, agents, range(len(agents)), repeat(n)))
     feasible = obj.get("feasible_t")
     if not (feasible is None or isinstance(feasible, list)):
         raise _not_list("adc instance", feasible_t=feasible)
@@ -195,7 +201,7 @@ def parse_generic(obj) -> core.GenericInstance:
             conj, ii = AGENT_TYPES[type_name]
         except (KeyError, TypeError):
             type_name, (conj, ii), _ = _agent_head(a, i)
-        rule_ids, outcomes = a.get("R", []), a.get("Y", [])
+        rule_ids, outcomes = a.get("R", _ABSENT), a.get("Y", _ABSENT)
         if not (isinstance(rule_ids, list) and isinstance(outcomes, list)):
             raise _not_list(f"agents[{i}]", R=rule_ids, Y=outcomes)
         try:
@@ -206,7 +212,7 @@ def parse_generic(obj) -> core.GenericInstance:
             raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
         if type_name in _EMPTY_OUTCOMES and outcomes:
             raise ParseError(f"agents[{i}]: type {type_name!r} must have no outcome set")
-        agents.append(core.SatisfyingSpec(rule_ids, outcomes, conj, ii))
+        agents.append(_record(core.SatisfyingSpec, (rule_ids, outcomes, conj, ii)))
     outcomes = _list_field(obj, "outcomes", "generic instance")
     if not all(type(y) is str for y in outcomes):
         raise ParseError("generic instance: field 'outcomes' must list strings")

@@ -143,6 +143,17 @@ def random_adc_instance(rng: random.Random, n: int, kind: str) -> AdcInstance:
     return AdcInstance(votes=votes, agents=tuple(agents))
 
 
+def loosened(agent, rng: random.Random):
+    """``agent`` with each set a random tuple, list, set or frozenset; sequences may repeat."""
+    rules, outcomes, conjunctive, ii = agent
+
+    def loose(values):
+        container = rng.choice((tuple, list, set, frozenset))
+        return container(sorted(values, key=repr) * rng.randint(1, 2))
+
+    return type(agent)(loose(rules), loose(outcomes), conjunctive, ii)
+
+
 def vote_representatives(n: int):
     """One vote vector per proposal-vote count (acceptance only sees the count)."""
     for votes_p in range(n + 1):

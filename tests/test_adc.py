@@ -31,7 +31,7 @@ from acceptmax.core import (
     oracle_max_accept,
 )
 
-from conftest import adc_accepts, adc_decisions, random_adc_instance
+from conftest import adc_accepts, adc_decisions, loosened, random_adc_instance
 
 
 def agent(R=(), Y=(), conjunctive=False, ii=False):
@@ -195,6 +195,30 @@ class TestInstanceValidation:
         bad = AdcAgent((1,), ("r",), False, False)
         with pytest.raises(ValidationError, match="^agent 1 is not implementation-indifferent"):
             AdcInstance(("p", "p", "r"), (good, bad, good))
+
+    def test_ii_agent_with_tuple_fields_is_solved(self):
+        inst = AdcInstance(("p", "p", "r"), (AdcAgent((2,), ("p",), False, True),) * 3)
+        assert max_accept(inst) == oracle_max_accept(adc_to_generic(inst)).report
+
+    def test_repeated_outcome_counts_once(self):
+        agents = (
+            AdcAgent((), ("p", "p"), False, False),
+            AdcAgent((3,), (), False, False),
+            AdcAgent((), (), False, False),
+        )
+        inst = AdcInstance(("p", "p", "r"), agents)
+        report = max_accept(inst)
+        assert report == oracle_max_accept(adc_to_generic(inst)).report
+        assert report.decision.rule.id == "t3" and report.acceptance_count == 1
+
+    def test_loose_fields_are_stored_as_frozensets(self):
+        kept = agent(R={2}, Y={PROPOSAL})
+        agents = (kept, AdcAgent([3, 3], {STATUS_QUO}, True, False), agent(ii=True))
+        inst = AdcInstance(("p", "p", "r"), agents)
+        assert inst.agents[0] is kept and inst.agents[2] is agents[2]
+        assert type(inst.agents[1]) is AdcAgent
+        assert inst.agents[1] == agent(R={3}, Y={STATUS_QUO}, conjunctive=True)
+        assert all(type(a.thresholds) is type(a.outcomes) is frozenset for a in inst.agents)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -504,3 +528,19 @@ def test_threshold_tally_equals_bridged_tally(seed, n, kind):
         frozenset(rng.sample(family, rng.randint(1, len(family)))),
     )
     assert max_accept(inst) == max_accept(adc_to_generic(inst))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=2, max_value=7),
+    st.sampled_from(KINDS),
+)
+def test_tuple_list_and_set_fields_solve_like_frozensets(seed, n, kind):
+    rng = random.Random(seed)
+    frozen = random_adc_instance(rng, n, kind)
+    agents = tuple(loosened(a, rng) for a in frozen.agents)
+    inst = AdcInstance(frozen.votes, agents, frozen.feasible_thresholds)
+    assert inst.agents == frozen.agents
+    report = max_accept(inst)
+    assert report == max_accept(frozen) == oracle_max_accept(adc_to_generic(inst)).report

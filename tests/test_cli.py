@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acceptmax import adc, cli, serialize
+from acceptmax import adc, cli, core, serialize
 from acceptmax.adc import AdcInstance, adc_to_generic
 from acceptmax.amendment import AmendmentInstance, VotePolicy
 from acceptmax.core import max_accept
@@ -435,6 +435,34 @@ class TestSerializeRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(serialize.ParseError):
             serialize.parse_instance({"kind": "mystery"})
+
+    @pytest.mark.parametrize("type_name", sorted(serialize.AGENT_TYPES))
+    def test_parsed_records_equal_constructed_ones(self, type_name):
+        # The parsers build records with tuple.__new__: same type, same value.
+        conj, ii = serialize.AGENT_TYPES[type_name]
+        rules = type_name != "consequentialist"
+        outcomes = type_name not in ("absolute_proceduralist", "ii_proceduralist")
+        # 'R_t', 'R' and generic 'Y' are left out when empty: absent lists read as empty.
+        agent_obj = {"type": type_name, "Y": ["p"] if outcomes else []}
+        if rules:
+            agent_obj["R_t"] = [2, 3]
+        adc_obj = {"kind": "adc", "n": 3, "votes": "ppr", "agents": [agent_obj] * 3}
+        expected = adc.AdcAgent(
+            frozenset({2, 3} if rules else ()), frozenset({"p"} if outcomes else ()), conj, ii
+        )
+        for record in serialize.parse_instance(adc_obj).agents:
+            assert type(record) is adc.AdcAgent and record == expected
+        spec_obj = {"type": type_name}
+        if rules:
+            spec_obj["R"] = ["r2"]
+        if outcomes:
+            spec_obj["Y"] = ["A"]
+        generic_obj = {**GENERIC, "agents": [spec_obj]}
+        expected = core.SatisfyingSpec(
+            frozenset({"r2"} if rules else ()), frozenset({"A"} if outcomes else ()), conj, ii
+        )
+        (record,) = serialize.parse_instance(generic_obj).agents
+        assert type(record) is core.SatisfyingSpec and record == expected
 
 
 def _generic_instance_to_dict(instance):

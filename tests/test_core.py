@@ -19,7 +19,7 @@ from acceptmax.core import (
     substitute_absolute_disjunctivist,
 )
 
-from conftest import random_adc_instance, random_generic_instance, substituted
+from conftest import loosened, random_adc_instance, random_generic_instance, substituted
 
 
 def make_instance(agents, rules=None, outcomes=("A", "B", "C")):
@@ -70,6 +70,14 @@ class TestModel:
             make_instance([spec(), SatisfyingSpec(["r0"], ["A"])])
         with pytest.raises(ValidationError, match="^agent 1 references unknown outcomes"):
             make_instance([spec(), SatisfyingSpec(["r1"], ["Z"])])
+
+    def test_ii_conjunctivist_with_list_fields_is_solved(self):
+        kept = spec(Y={"A"})
+        inst = make_instance([SatisfyingSpec(["r2", "r2"], ["B", "B"], True, True), kept])
+        assert inst.agents[0] == spec(R={"r2"}, Y={"B"}, conjunctive=True, ii=True)
+        assert type(inst.agents[0].rule_ids) is type(inst.agents[0].outcomes) is frozenset
+        assert inst.agents[1] is kept
+        assert max_accept(inst) == oracle_max_accept(inst).report
 
     def test_no_feasible_decision_rejected(self):
         with pytest.raises(ValidationError):
@@ -333,3 +341,17 @@ adc_instances = st.builds(
 def test_all_types_matches_oracle(inst):
     # The whole report: decision (so the tie-break), accepted_by and count.
     assert max_accept(inst) == oracle_max_accept(inst).report
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_tuple_list_and_set_fields_solve_like_frozensets(seed):
+    rng = random.Random(seed)
+    frozen = random_generic_instance(rng)
+    agents = tuple(loosened(a, rng) for a in frozen.agents)
+    inst = GenericInstance(
+        frozen.outcomes, frozen.rules, frozen.feasible_outcomes, frozen.feasible_rule_ids, agents
+    )
+    assert inst.agents == frozen.agents
+    report = max_accept(inst)
+    assert report == max_accept(frozen) == oracle_max_accept(inst).report
