@@ -121,7 +121,7 @@ def induce_profile(peaks, r: int, p: int, policy: VotePolicy = VotePolicy.NEARER
     return tuple(votes)
 
 
-def step_accepted_by(peaks, votes, r: int, p: int, winner: int) -> frozenset:
+def step_accepted_by(peaks, votes, p: int, winner: int) -> frozenset:
     """Agents accepting the amendment decision with winning threshold ``winner``.
 
     An agent accepts when they voted for the winner, or when the rule at
@@ -156,7 +156,7 @@ def _ballot(instance: AmendmentInstance, r: int, p: int) -> AmendmentStep:
     votes = induce_profile(instance.peaks, r, p, instance.vote_policy)
     votes_p = sum(1 for v in votes if v == PROPOSAL)
     winner = p if supermajority_outcome(r, votes_p, instance.n) == PROPOSAL else r
-    accepted = step_accepted_by(instance.peaks, votes, r, p, winner)
+    accepted = step_accepted_by(instance.peaks, votes, p, winner)
     return AmendmentStep(
         status_quo=r, proposal=p, votes=votes, outcome=winner, accepted_by=accepted
     )

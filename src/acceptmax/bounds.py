@@ -2,7 +2,10 @@
 
 An instance class pairs a (homogeneous) agent type with a structural
 assumption on the agents' satisfying sets, such as "each agent finds at
-least one feasible rule acceptable". The worst case is the minimum, over
+least one feasible rule acceptable". ``CLASSES`` holds one row per class:
+its id, its agent kind and its threshold rank (below); whether the class
+takes a ``k`` follows from the rank. ``check_class`` is the one check of a
+class id, electorate size and ``k``. The worst case is the minimum, over
 every instance in the class, of the best achievable acceptance count, as
 an exact rational of the electorate size. The search is exact at every
 electorate size.
@@ -66,21 +69,30 @@ from .core import ValidationError, substitute_absolute_disjunctivist
 
 @dataclass(frozen=True)
 class InstanceClass:
-    """One verifiable row: an agent kind plus a per-agent assumption."""
+    """One verifiable row: an agent kind plus a per-agent assumption.
+
+    ``rank`` is the most thresholds an inclusion-minimal option of an
+    absolute agent names (see the module docstring); ii and conseq options
+    never read it. None means the class takes a ``k``, which is its rank.
+    """
 
     id: str
     agent_kind: str  # any | conseq | abs_disj | abs_conj | ii_disj | ii_conj
-    needs_k: bool = False
+    rank: int | None = 0
+
+    @property
+    def needs_k(self) -> bool:
+        return self.rank is None
 
 
 CLASSES = {
     c.id: c
     for c in (
         InstanceClass("any-none", "any"),
-        InstanceClass("abs-conj-consistent", "abs_conj"),
-        InstanceClass("abs-conj-realizable", "abs_conj"),
-        InstanceClass("abs-disj-r1", "abs_disj"),
-        InstanceClass("abs-disj-k", "abs_disj", needs_k=True),
+        InstanceClass("abs-conj-consistent", "abs_conj", rank=1),
+        InstanceClass("abs-conj-realizable", "abs_conj", rank=1),
+        InstanceClass("abs-disj-r1", "abs_disj", rank=1),
+        InstanceClass("abs-disj-k", "abs_disj", rank=None),
         InstanceClass("abs-disj-y1", "abs_disj"),
         InstanceClass("ii-conj-realizable", "ii_conj"),
         InstanceClass("ii-disj-r1", "ii_disj"),
@@ -109,8 +121,16 @@ class BoundsReport:
     nodes: int
 
 
-def check_k(class_id: str, n: int, k: int | None) -> None:
-    """Reject a missing ``k``, or one outside [1, family size], for a class that needs it."""
+def check_class(class_id: str, n: int, k: int | None) -> None:
+    """Reject an unknown class, ``n`` below 2, or a missing or out-of-range ``k``.
+
+    The checks run in that order. ``k`` is read only for a class that takes
+    one, and must lie in [1, family size].
+    """
+    if class_id not in CLASSES:
+        raise ValidationError(f"unknown class {class_id!r}")
+    if n < 2:
+        raise ValidationError("worst-case rates are defined for n >= 2")
     if not CLASSES[class_id].needs_k:
         return
     if k is None:
@@ -126,9 +146,7 @@ def table1_formula(class_id: str, n: int, k: int | None = None) -> Fraction:
     Values are exact for each ``n``; the half-electorate rows evaluate to
     ``ceil(n/2)/n``, whose infimum over all sizes is one half.
     """
-    if n < 2:
-        raise ValidationError("worst-case rates are defined for n >= 2")
-    check_k(class_id, n, k)
+    check_class(class_id, n, k)
     family_size = len(threshold_family(n))
     if class_id in ("any-none", "abs-conj-consistent"):
         return Fraction(0)
@@ -160,21 +178,6 @@ def _family_subsets(n: int, rank: int | None = None):
         yield from (frozenset(c) for c in itertools.combinations(family, size))
 
 
-def _threshold_rank(class_id: str, k: int | None) -> int | None:
-    """The most thresholds an inclusion-minimal option of an ``abs`` class names.
-
-    None for the ii and conseq rows, whose options keep their representative
-    sets. Read only by the worst-case search: see the module docstring.
-    """
-    if class_id in ("any-none", "abs-disj-y1"):
-        return 0
-    if class_id in ("abs-disj-r1", "abs-conj-consistent", "abs-conj-realizable"):
-        return 1
-    if class_id == "abs-disj-k":
-        return k
-    return None
-
-
 def _ii_threshold_reps(n: int, votes_p: int):
     """Representative threshold sets, one per realized-outcome class."""
     reps = [frozenset()]
@@ -187,9 +190,9 @@ def _ii_threshold_reps(n: int, votes_p: int):
     return reps
 
 
-def _realizable(outcome_of: dict, feasible) -> frozenset:
-    """The outcomes the feasible thresholds select on the profile."""
-    return frozenset(map(outcome_of.__getitem__, feasible))
+def _realizable(outcome_of: dict) -> frozenset:
+    """The outcomes the family thresholds select; ``outcome_of`` maps each ``t`` in [1, n]."""
+    return frozenset(map(outcome_of.__getitem__, threshold_family(len(outcome_of))))
 
 
 def class_predicate(
@@ -197,25 +200,26 @@ def class_predicate(
     agent: AdcAgent,
     vote: str,
     outcome_of: dict,
-    feasible: frozenset,
     realizable: frozenset,
     k: int | None = None,
 ) -> bool:
     """Whether one agent's satisfying set meets the class assumption at one profile.
 
     The caller builds the profile's ``outcome_of`` and ``_realizable`` once.
+    Every threshold an absolute agent names is feasible: ``_family_subsets``
+    lists no other, and ``AdcInstance`` rejects any other for an agent that
+    is not implementation-indifferent.
     """
     if class_id == "any-none":
         return True
-    r_feas = agent.thresholds & feasible
     if class_id == "abs-conj-consistent":
-        return vote in agent.outcomes and bool(r_feas)
+        return vote in agent.outcomes and bool(agent.thresholds)
     if class_id == "abs-conj-realizable":
-        return any(outcome_of[t] in agent.outcomes for t in r_feas)
+        return any(outcome_of[t] in agent.outcomes for t in agent.thresholds)
     if class_id == "abs-disj-r1":
-        return len(r_feas) >= 1
+        return len(agent.thresholds) >= 1
     if class_id == "abs-disj-k":
-        return len(r_feas) >= k
+        return len(agent.thresholds) >= k
     if class_id in ("abs-disj-y1", "ii-disj-y1", "conseq-y1"):
         return bool(agent.outcomes & realizable)
     if class_id == "conseq-consistent":
@@ -258,17 +262,17 @@ def _kind_options(agent_kind: str, n: int, votes_p: int, rank: int | None = None
     raise ValidationError(f"unknown agent kind {agent_kind!r}")
 
 
-def agent_options(class_id, n, votes_p, vote, feasible, k=None):
+def agent_options(class_id, n, votes_p, vote, k=None):
     """Class-satisfying agent options for one voter, in canonical order.
 
     The full listing, uncapped: ``gen`` samples from it.
     """
     outcome_of = threshold_outcomes(n, votes_p)
-    realizable = _realizable(outcome_of, feasible)
+    realizable = _realizable(outcome_of)
     return [
         a
         for a in _kind_options(CLASSES[class_id].agent_kind, n, votes_p)
-        if class_predicate(class_id, a, vote, outcome_of, feasible, realizable, k)
+        if class_predicate(class_id, a, vote, outcome_of, realizable, k)
     ]
 
 
@@ -353,29 +357,28 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
     witness is the first minimal multiset at the first vote count that
     reaches the minimum. Each vote count's lookup and realizable outcomes
     are built once, and its options are listed up to the class's rank and
-    scored once; each side then keeps those its voters may hold.
+    scored once; each side then keeps those its voters may hold. The
+    report's ``k`` is None for a class that takes none.
     """
-    if class_id not in CLASSES:
-        raise ValidationError(f"unknown class {class_id!r}")
     formula = table1_formula(class_id, n, k)
-    feasible = frozenset(threshold_family(n))
-    kind, rank = CLASSES[class_id].agent_kind, _threshold_rank(class_id, k)
+    row = CLASSES[class_id]
+    k, rank = (k, k) if row.needs_k else (None, row.rank)
     best, witness = n + 1, None
     options = kept = nodes = 0
     for votes_p in range(n + 1):
         outcome_of = threshold_outcomes(n, votes_p)
-        realizable = _realizable(outcome_of, feasible)
-        decisions = [(t, outcome_of[t]) for t in sorted(feasible)]
+        realizable = _realizable(outcome_of)
+        decisions = [(t, outcome_of[t]) for t in threshold_family(n)]
         scored = [
             (_decision_bits(a, decisions, outcome_of), a)
-            for a in _kind_options(kind, n, votes_p, rank)
+            for a in _kind_options(row.agent_kind, n, votes_p, rank)
         ]
         sides = []
         for vote in (PROPOSAL, STATUS_QUO):
             opts = [
                 (bits, a)
                 for bits, a in scored
-                if class_predicate(class_id, a, vote, outcome_of, feasible, realizable, k)
+                if class_predicate(class_id, a, vote, outcome_of, realizable, k)
             ]
             bits = _pareto_minimal(opts)
             options += len(opts)
@@ -389,7 +392,7 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
         nodes += visited
         if agents is not None:
             votes = (PROPOSAL,) * votes_p + (STATUS_QUO,) * (n - votes_p)
-            witness = AdcInstance(votes, agents, feasible)
+            witness = AdcInstance(votes, agents)
     observed = None if witness is None else Fraction(best, n)
     match = observed is None or observed == formula
     return BoundsReport(

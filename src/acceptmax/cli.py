@@ -46,16 +46,12 @@ def cmd_solve(args) -> int:
         instance = serialize.load_instance(args.path)
         if isinstance(instance, amendment.AmendmentInstance):
             raise serialize.ParseError("solve expects an adc or generic instance")
-        adc_n = instance.n if isinstance(instance, adc.AdcInstance) else None
         if args.mechanism == "oracle":
-            generic = adc.adc_to_generic(instance) if adc_n is not None else instance
-            payload = serialize.oracle_result_to_dict(
-                core.oracle_max_accept(generic), generic.n, adc_n
-            )
+            is_adc = isinstance(instance, adc.AdcInstance)
+            generic = adc.adc_to_generic(instance) if is_adc else instance
+            payload = serialize.oracle_result_to_dict(core.oracle_max_accept(generic), instance)
         else:
-            payload = serialize.solve_report_to_dict(
-                core.max_accept(instance), instance.n, adc_n
-            )
+            payload = serialize.solve_report_to_dict(core.max_accept(instance), instance)
         print(serialize.dumps(payload))
     finally:
         if was_enabled:
@@ -78,32 +74,25 @@ def cmd_amend(args) -> int:
 def cmd_bounds(args) -> int:
     class_ids = sorted(bounds.CLASSES) if args.class_id == "all" else [args.class_id]
     for class_id in class_ids:
-        if class_id not in bounds.CLASSES:
-            raise core.ValidationError(f"unknown class {class_id!r}")
         for n in args.n:
-            bounds.check_k(class_id, n, args.k)
+            bounds.check_class(class_id, n, args.k)
     all_match = True
     for class_id in class_ids:
-        k = args.k if bounds.CLASSES[class_id].needs_k else None
         for n in args.n:
-            report = bounds.worst_case_rate(class_id, n, k)
+            report = bounds.worst_case_rate(class_id, n, args.k)
             print(serialize.dumps(serialize.bounds_report_to_dict(report)))
             all_match = all_match and report.match
     return EXIT_OK if all_match else EXIT_MISMATCH
 
 
 def _gen_adc(class_id, n, rng, k):
-    feasible = frozenset(adc.threshold_family(n))
     for _attempt in range(10_000):
         votes = tuple(rng.choice(adc.OUTCOMES) for _ in range(n))
         votes_p = sum(1 for v in votes if v == adc.PROPOSAL)
         # An agent's options depend only on its vote: list each vote's once.
-        options = {
-            v: bounds.agent_options(class_id, n, votes_p, v, feasible, k) for v in set(votes)
-        }
+        options = {v: bounds.agent_options(class_id, n, votes_p, v, k) for v in set(votes)}
         if all(options.values()):
-            agents = tuple(rng.choice(options[v]) for v in votes)
-            return adc.AdcInstance(votes, agents, feasible)
+            return adc.AdcInstance(votes, tuple(rng.choice(options[v]) for v in votes))
     raise core.ValidationError(f"class {class_id!r} unsatisfiable for n={n}")
 
 
@@ -121,14 +110,11 @@ def cmd_gen(args) -> int:
                 )
                 print(serialize.dumps(serialize.amendment_instance_to_dict(instance)))
         return EXIT_OK
-    if args.class_id not in bounds.CLASSES:
-        raise core.ValidationError(f"unknown class {args.class_id!r}")
-    k = args.k if bounds.CLASSES[args.class_id].needs_k else None
     for n in sizes:
-        bounds.check_k(args.class_id, n, k)
+        bounds.check_class(args.class_id, n, args.k)
     for n in sizes:
         for _ in range(args.count):
-            instance = _gen_adc(args.class_id, n, rng, k)
+            instance = _gen_adc(args.class_id, n, rng, args.k)
             print(serialize.dumps(serialize.adc_instance_to_dict(instance)))
     return EXIT_OK
 

@@ -152,7 +152,10 @@ def _parse_adc_agent(obj, i, n):
         raise _unhashable(f"agents[{i}]", Y=outcomes, R_t=r_t) from None
     if r_delta:
         where = f"agents[{i}]"
-        thresholds |= {adc.threshold_of(fraction_from_obj(d, where), n) for d in r_delta}
+        try:
+            thresholds |= {adc.threshold_of(fraction_from_obj(d, where), n) for d in r_delta}
+        except core.ValidationError as exc:
+            raise ParseError(f"{where}: {exc}") from None
     if type_name in _EMPTY_RULES and thresholds:
         raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
     if type_name in _EMPTY_OUTCOMES and outcomes:
@@ -339,22 +342,24 @@ def _threshold_fields(t: int, n: int) -> dict:
     return {"t": t, "delta": fraction_to_dict(adc.delta_of(t, n))}
 
 
-def solve_report_to_dict(report: core.SolveReport, n: int, adc_n: int | None = None) -> dict:
+def solve_report_to_dict(report: core.SolveReport, instance) -> dict:
+    """The report on the loaded ``instance``: an adc decision also names its threshold."""
     decision = {"rule": report.decision.rule.id, "outcome": report.decision.outcome}
-    if adc_n is not None:
+    if isinstance(instance, adc.AdcInstance):
         t = adc.rule_threshold(report.decision.rule.id)
-        decision.update(_threshold_fields(t, adc_n))
+        decision.update(_threshold_fields(t, instance.n))
     return {
         "decision": decision,
         "accepted_by": sorted(report.accepted_by),
         "count": report.acceptance_count,
-        "n": n,
+        "n": instance.n,
         "rate": fraction_to_dict(report.acceptance_rate),
     }
 
 
-def oracle_result_to_dict(result: core.OracleResult, n: int, adc_n=None) -> dict:
-    out = solve_report_to_dict(result.report, n, adc_n)
+def oracle_result_to_dict(result: core.OracleResult, instance) -> dict:
+    """As ``solve_report_to_dict``, plus the oracle's whole tally."""
+    out = solve_report_to_dict(result.report, instance)
     out["tally"] = [
         {"rule": d.rule.id, "outcome": d.outcome, "count": count}
         for d, count in result.tally

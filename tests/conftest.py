@@ -186,13 +186,10 @@ def enumerate_instances(class_id: str, n: int, k: int | None = None):
     Vote vectors are full and agents are ordered; only implementation-
     indifferent threshold sets are reduced to their representatives.
     """
-    feasible = frozenset(threshold_family(n))
     for votes in itertools.product(OUTCOMES, repeat=n):
         votes_p = sum(1 for v in votes if v == PROPOSAL)
-        per_agent = [
-            agent_options(class_id, n, votes_p, v, feasible, k) for v in votes
-        ]
+        per_agent = [agent_options(class_id, n, votes_p, v, k) for v in votes]
         if any(not opts for opts in per_agent):
             continue
         for agents in itertools.product(*per_agent):
-            yield AdcInstance(votes=votes, agents=agents, feasible_thresholds=feasible)
+            yield AdcInstance(votes=votes, agents=agents)

@@ -273,11 +273,15 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError, match="feasible thresholds"):
             AdcInstance(("p", "p", "r"), (agent(),) * 3, frozenset({2.0}))
 
-    def test_realizable_outcomes(self):
-        inst = AdcInstance(("p", "p", "r"), (agent(),) * 3)
-        assert _realizable(inst.rule_value, inst.feasible_thresholds) == {"p", "r"}
-        unanimous = AdcInstance(("p", "p", "p"), (agent(),) * 3)
-        assert _realizable(unanimous.rule_value, unanimous.feasible_thresholds) == {"p"}
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_realizable_outcomes(self, n):
+        # Over the family (majority to unanimity): every rule selects p when
+        # all back it and r when less than a majority does; otherwise majority
+        # selects p and unanimity r.
+        majority = n // 2 + 1
+        for votes_p in range(n + 1):
+            expected = {"p"} if votes_p == n else {"r"} if votes_p < majority else {"p", "r"}
+            assert _realizable(threshold_outcomes(n, votes_p)) == expected, votes_p
 
 
 class TestConsequentialists:

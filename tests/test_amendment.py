@@ -130,7 +130,7 @@ class TestUniversalAcceptance:
         # dissenting agent with no counterfactual justification.
         peaks = (3, 3, 5, 5, 5)
         votes = induce_profile(peaks, r=3, p=5)
-        accepted = step_accepted_by(peaks, votes, r=3, p=5, winner=5)
+        accepted = step_accepted_by(peaks, votes, p=5, winner=5)
         trace = AmendmentTrace(
             steps=(AmendmentStep(3, 5, votes, 5, accepted),),
             final_rule=3,
@@ -142,7 +142,7 @@ class TestUniversalAcceptance:
         assert check_universal_acceptance(trace, inst)
         peaks = (3, 3, 3, 5, 5)
         votes = induce_profile(peaks, r=3, p=5)
-        accepted = step_accepted_by(peaks, votes, r=3, p=5, winner=5)
+        accepted = step_accepted_by(peaks, votes, p=5, winner=5)
         assert len(accepted) < 5
 
     def test_policies_preserve_guarantees_smoke(self):

@@ -26,8 +26,8 @@ from acceptmax.bounds import (
     _kind_options,
     _pareto_minimal,
     _realizable,
-    _threshold_rank,
     agent_options,
+    check_class,
     class_predicate,
     table1_formula,
     worst_case_rate,
@@ -81,6 +81,30 @@ class TestFormula:
         with pytest.raises(ValidationError):
             table1_formula("any-none", 1)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (("no-such-row", 1, None), "unknown class 'no-such-row'"),
+            (("abs-disj-k", 1, None), "worst-case rates are defined for n >= 2"),
+            (("abs-disj-k", 4, None), "class 'abs-disj-k' requires parameter k"),
+            (("abs-disj-k", 4, 3), "k=3 outside [1, 2]"),
+        ],
+    )
+    def test_check_class_order(self, call, message):
+        # Each call is bad in this and every later way, so only the order of
+        # the checks decides which message it meets.
+        with pytest.raises(ValidationError) as exc:
+            check_class(*call)
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            worst_case_rate(*call)
+        assert str(exc.value) == message
+
+    def test_class_without_k_ignores_it(self):
+        check_class("any-none", 3, 99)
+        assert worst_case_rate("any-none", 3, k=2).k is None
+        assert worst_case_rate("abs-disj-k", 3, k=2).k == 2
+
 
 class TestEnumeration:
     def test_any_class_includes_all_empty_instance(self):
@@ -91,16 +115,13 @@ class TestEnumeration:
         )
 
     def test_enumerated_instances_satisfy_predicate(self):
-        feasible = frozenset(threshold_family(3))
         for class_id in ("abs-disj-k", "ii-conj-realizable", "conseq-consistent"):
             k = 1 if CLASSES[class_id].needs_k else None
             seen = 0
             for inst in enumerate_instances(class_id, 3, k):
-                realizable = _realizable(inst.rule_value, feasible)
+                realizable = _realizable(inst.rule_value)
                 for agent, vote in zip(inst.agents, inst.votes):
-                    assert class_predicate(
-                        class_id, agent, vote, inst.rule_value, feasible, realizable, k
-                    )
+                    assert class_predicate(class_id, agent, vote, inst.rule_value, realizable, k)
                 seen += 1
             assert seen > 0
 
@@ -139,15 +160,16 @@ def test_rank_cap_keeps_the_full_listings_options(n):
     # The Pareto-minimal options it keeps, their order and their
     # representatives must be those of the full listing, for every class,
     # k, vote count and side.
-    feasible = frozenset(threshold_family(n))
+    family = threshold_family(n)
     for class_id in sorted(CLASSES):
-        ks = range(1, len(feasible) + 1) if CLASSES[class_id].needs_k else [None]
+        ks = range(1, len(family) + 1) if CLASSES[class_id].needs_k else [None]
         for k in ks:
-            kind, rank = CLASSES[class_id].agent_kind, _threshold_rank(class_id, k)
+            kind = CLASSES[class_id].agent_kind
+            rank = k if CLASSES[class_id].needs_k else CLASSES[class_id].rank
             for votes_p in range(n + 1):
                 outcome_of = threshold_outcomes(n, votes_p)
-                realizable = _realizable(outcome_of, feasible)
-                decisions = [(t, outcome_of[t]) for t in sorted(feasible)]
+                realizable = _realizable(outcome_of)
+                decisions = [(t, outcome_of[t]) for t in family]
                 capped = _kind_options(kind, n, votes_p, rank)
 
                 def kept(opts):
@@ -156,34 +178,31 @@ def test_rank_cap_keeps_the_full_listings_options(n):
                     )
 
                 for vote in OUTCOMES:
-                    full = agent_options(class_id, n, votes_p, vote, feasible, k)
+                    full = agent_options(class_id, n, votes_p, vote, k)
                     capped_here = [
                         a for a in capped
-                        if class_predicate(
-                            class_id, a, vote, outcome_of, feasible, realizable, k
-                        )
+                        if class_predicate(class_id, a, vote, outcome_of, realizable, k)
                     ]
                     assert kept(capped_here) == kept(full), (class_id, k, votes_p, vote)
 
 
 def full_space_min(class_id, n, k=None):
     """Unreduced exhaustive minimum of the best acceptance count."""
-    feasible = frozenset(threshold_family(n))
     kind = CLASSES[class_id].agent_kind
     best = None
     for votes in itertools.product(OUTCOMES, repeat=n):
         votes_p = sum(1 for v in votes if v == PROPOSAL)
         outcome_of = threshold_outcomes(n, votes_p)
-        realizable = _realizable(outcome_of, feasible)
+        realizable = _realizable(outcome_of)
         per_agent = [
             [a for a in full_kind_options(kind, n)
-             if class_predicate(class_id, a, v, outcome_of, feasible, realizable, k)]
+             if class_predicate(class_id, a, v, outcome_of, realizable, k)]
             for v in votes
         ]
         if any(not opts for opts in per_agent):
             continue
         for agents in itertools.product(*per_agent):
-            count = oracle_count(AdcInstance(votes, agents, feasible))
+            count = oracle_count(AdcInstance(votes, agents))
             if best is None or count < best:
                 best = count
     return best
@@ -240,13 +259,21 @@ class TestExhaustive:
         k = 2 if CLASSES[class_id].needs_k else None
         report = worst_case_rate(class_id, n, k=k)
         w = report.witness
-        feasible = w.feasible_thresholds
-        realizable = _realizable(w.rule_value, feasible)
+        assert w.feasible_thresholds == frozenset(threshold_family(n))
+        realizable = _realizable(w.rule_value)
         for agent, vote in zip(w.agents, w.votes):
-            assert class_predicate(
-                class_id, agent, vote, w.rule_value, feasible, realizable, k
-            )
+            assert class_predicate(class_id, agent, vote, w.rule_value, realizable, k)
         assert Fraction(oracle_count(w), n) == report.observed_min_rate
+
+    def test_class_empty_at_n_has_no_witness(self):
+        # No ii-disj-last agent exists at n = 2: at every vote count some
+        # voter has no option, so nothing is searched and nothing fails.
+        report = worst_case_rate("ii-disj-last", 2)
+        assert (report.observed_min_rate, report.witness) == (None, None)
+        assert (report.options, report.kept, report.nodes) == (0, 0, 0)
+        assert report.match and report.formula_rate == 1
+        row = bounds_report_to_dict(report)
+        assert row["observed_min_rate"] is None and row["witness"] is None
 
     def test_search_counters(self):
         report = worst_case_rate("abs-disj-r1", 5)

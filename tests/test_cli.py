@@ -360,6 +360,12 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "no-such-class", "--n", "3")
         assert code == 2
 
+    def test_class_empty_at_n_exits_2(self, capsys):
+        # No ii-disj-last agent exists at n = 2, whatever the votes.
+        code, out, err = run_cli(capsys, "gen", "ii-disj-last", "--n", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: class 'ii-disj-last' unsatisfiable for n=2\n"
+
     def test_electorate_below_two_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gen", "amendment", "--n", "0"])
@@ -656,6 +662,10 @@ MALFORMED = {
         "integer num",
     ),
     "R_delta abc": (_with_agent(ADC_II_DISJ, 1, R_delta=["abc"]), "'abc' is not a rational"),
+    "R_delta out of range": (
+        _with_agent(ADC_II_DISJ, 1, R_delta=[1]),
+        _error_line("agents[1]: fractional threshold 1 outside [0, 1)"),
+    ),
     "R_delta exponent": (
         _with_agent(ADC_II_DISJ, 1, R_delta=["1e-999999999"]),
         "'1e-999999999' is not a rational",
