@@ -9,7 +9,6 @@ from .core import (
     SolveReport,
     ValidationError,
     accepts,
-    make_report,
     max_accept,
     oracle_max_accept,
     substitute_absolute_disjunctivist,
@@ -20,7 +19,6 @@ from .adc import (
     adc_to_generic,
     delta_of,
     majority_threshold,
-    supermajority_outcome,
     threshold_family,
     threshold_of,
 )
@@ -64,11 +62,9 @@ __all__ = [
     "h_threshold",
     "induce_profile",
     "majority_threshold",
-    "make_report",
     "max_accept",
     "oracle_max_accept",
     "substitute_absolute_disjunctivist",
-    "supermajority_outcome",
     "table1_formula",
     "threshold_family",
     "threshold_of",

@@ -10,6 +10,8 @@ still matter for which outcomes they would have found acceptable.
 
 Thresholds are kept as integers throughout so every comparison is exact;
 the conventional fractional threshold of ``t`` is ``(t - 1) / n``.
+``threshold_outcomes`` is the one statement of the supermajority rule, and
+an instance's feasible thresholds are ordered by ``core.tie_break_order``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import GenericInstance, RuleRef, SatisfyingSpec, ValidationError, freeze_agents
+from .core import (
+    GenericInstance,
+    RuleRef,
+    SatisfyingSpec,
+    ValidationError,
+    freeze_agents,
+    tie_break_order,
+)
 
 STATUS_QUO = "r"
 PROPOSAL = "p"
@@ -46,15 +55,6 @@ def threshold_of(delta, n: int) -> int:
     if not 0 <= d < 1:
         raise ValidationError(f"fractional threshold {d} outside [0, 1)")
     return int(d * n) + 1
-
-
-def supermajority_outcome(t: int, votes_p: int, n: int) -> str:
-    """Outcome selected by threshold ``t`` when ``votes_p`` agents back the proposal."""
-    if not 1 <= t <= n:
-        raise ValidationError(f"threshold {t} outside [1, {n}]")
-    if not 0 <= votes_p <= n:
-        raise ValidationError(f"vote count {votes_p} outside [0, {n}]")
-    return PROPOSAL if votes_p >= t else STATUS_QUO
 
 
 def rule_id(t: int) -> str:
@@ -141,14 +141,8 @@ class AdcInstance:
         return threshold_outcomes(self.n, self.votes_p)
 
     def feasible_rules(self) -> list:
-        """The feasible thresholds in tie-break order: status quo first, then smallest ``t``.
-
-        Thresholds above ``votes_p`` select the status quo and come first,
-        ascending; those at or below it select the proposal, ascending. This
-        is the order ``adc_to_generic`` declares, so both give one winner.
-        """
-        votes_p, ts = self.votes_p, sorted(self.feasible_thresholds)
-        return [t for t in ts if t > votes_p] + [t for t in ts if t <= votes_p]
+        """The feasible thresholds in ``tie_break_order``: status quo first, then smallest ``t``."""
+        return tie_break_order(self.outcomes, sorted(self.feasible_thresholds), self.rule_value)
 
     def rule_ref(self, t: int) -> RuleRef:
         """The bridged rule of threshold ``t``: id ``t<t>``, valued at ``votes_p``."""
@@ -158,11 +152,13 @@ class AdcInstance:
 def threshold_outcomes(n: int, votes_p: int) -> dict:
     """Each threshold ``t`` in ``[1, n]``, ascending -> its outcome when ``votes_p`` back ``p``.
 
-    ``t`` selects ``p`` exactly when ``t <= votes_p``. ``AdcInstance.rule_value``
-    holds this lookup for one instance; ``bounds`` builds one per vote count
-    and hands it to ``core.substitute_absolute_disjunctivist``.
+    The one statement of the supermajority rule: ``t`` selects ``p`` exactly
+    when ``t <= votes_p``. ``AdcInstance.rule_value`` holds this lookup for
+    one instance, ``amendment`` builds one per ballot, and ``bounds`` builds
+    one per vote count and hands it to ``core.substitute_absolute_disjunctivist``.
     """
-    return {t: PROPOSAL if t <= votes_p else STATUS_QUO for t in range(1, n + 1)}
+    adopting = dict.fromkeys(range(1, votes_p + 1), PROPOSAL)
+    return adopting | dict.fromkeys(range(votes_p + 1, n + 1), STATUS_QUO)
 
 
 def adc_to_generic(instance: AdcInstance) -> GenericInstance:
@@ -170,10 +166,10 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
 
     The rule universe covers every threshold an agent may reference,
     including sub-majority ones; only the instance's feasible family
-    members are feasible rules. The declared orders set the tie-break:
-    the status quo before the proposal, then ascending thresholds. The
-    rules are the instance's ``rule_value`` in key order; each id is built
-    once per call, so the rules and the agents' and feasible sets share it.
+    members are feasible rules, declared in the orders ``AdcInstance.feasible_rules``
+    hands ``core.tie_break_order``. The rules are the instance's ``rule_value`` in
+    key order; each id is built once per call, so the rules and the agents'
+    and feasible sets share it.
     """
     values = instance.rule_value
     ids = {t: rule_id(t) for t in values}

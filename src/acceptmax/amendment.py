@@ -22,8 +22,8 @@ from .adc import (
     PROPOSAL,
     STATUS_QUO,
     majority_threshold,
-    supermajority_outcome,
     threshold_family,
+    threshold_outcomes,
 )
 from .core import ValidationError
 
@@ -121,22 +121,15 @@ def induce_profile(peaks, r: int, p: int, policy: VotePolicy = VotePolicy.NEARER
     return tuple(votes)
 
 
-def step_accepted_by(peaks, votes, p: int, winner: int) -> frozenset:
-    """Agents accepting the amendment decision with winning threshold ``winner``.
+def step_accepted_by(peaks, votes, outcome_of: dict, side: str) -> frozenset:
+    """Agents accepting the amendment decision whose winning side is ``side`` (``"r"``/``"p"``).
 
-    An agent accepts when they voted for the winner, or when the rule at
-    their own peak would have selected the winner on the same profile.
+    An agent accepts when they voted for that side, or when the rule at
+    their own peak selects it on the same profile. ``outcome_of`` is the
+    profile's ``adc.threshold_outcomes`` lookup.
     """
-    n = len(peaks)
-    votes_p = sum(1 for v in votes if v == PROPOSAL)
-    winner_label = PROPOSAL if winner == p else STATUS_QUO
-    accepted = set()
-    for i, (peak, vote) in enumerate(zip(peaks, votes)):
-        if vote == winner_label:
-            accepted.add(i)
-        elif supermajority_outcome(peak, votes_p, n) == winner_label:
-            accepted.add(i)
-    return frozenset(accepted)
+    pairs = enumerate(zip(peaks, votes))
+    return frozenset(i for i, (peak, vote) in pairs if vote == side or outcome_of[peak] == side)
 
 
 def h_threshold(peaks, n: int) -> int:
@@ -154,9 +147,10 @@ def h_threshold(peaks, n: int) -> int:
 def _ballot(instance: AmendmentInstance, r: int, p: int) -> AmendmentStep:
     """Put proposal ``p`` against status quo ``r``, decided by the incumbent rule ``r``."""
     votes = induce_profile(instance.peaks, r, p, instance.vote_policy)
-    votes_p = sum(1 for v in votes if v == PROPOSAL)
-    winner = p if supermajority_outcome(r, votes_p, instance.n) == PROPOSAL else r
-    accepted = step_accepted_by(instance.peaks, votes, p, winner)
+    outcome_of = threshold_outcomes(instance.n, votes.count(PROPOSAL))
+    side = outcome_of[r]
+    winner = p if side == PROPOSAL else r
+    accepted = step_accepted_by(instance.peaks, votes, outcome_of, side)
     return AmendmentStep(
         status_quo=r, proposal=p, votes=votes, outcome=winner, accepted_by=accepted
     )

@@ -276,6 +276,31 @@ def agent_options(class_id, n, votes_p, vote, k=None):
     ]
 
 
+def _listings(class_id: str, n: int, k: int | None):
+    """Per vote count: ``(votes_p, outcome_of, sides, fills)``, options listed up to the rank.
+
+    ``sides`` holds a proposal voter's class options, then a status-quo
+    voter's, in canonical order; ``fills`` says whether each side that has
+    voters has one. The rank cap drops no option Pareto pruning keeps.
+    """
+    row = CLASSES[class_id]
+    rank = k if row.needs_k else row.rank
+    for votes_p in range(n + 1):
+        outcome_of = threshold_outcomes(n, votes_p)
+        realizable = _realizable(outcome_of)
+        options = _kind_options(row.agent_kind, n, votes_p, rank)
+        sides = [
+            [a for a in options if class_predicate(class_id, a, vote, outcome_of, realizable, k)]
+            for vote in (PROPOSAL, STATUS_QUO)
+        ]
+        yield votes_p, outcome_of, sides, (votes_p == 0 or sides[0]) and (votes_p == n or sides[1])
+
+
+def has_instance(class_id: str, n: int, k: int | None = None) -> bool:
+    """Whether the class holds an instance at ``n``, stopping at the first vote count that fills."""
+    return any(fills for *_, fills in _listings(class_id, n, k))
+
+
 # ---------------------------------------------------------------------------
 # Worst-case search.
 
@@ -355,37 +380,22 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
 
     The best count carries over from one vote count to the next, so the
     witness is the first minimal multiset at the first vote count that
-    reaches the minimum. Each vote count's lookup and realizable outcomes
-    are built once, and its options are listed up to the class's rank and
-    scored once; each side then keeps those its voters may hold. The
+    reaches the minimum. Each option of a vote count's ``_listings`` is
+    scored once, and each side keeps its Pareto-minimal options. The
     report's ``k`` is None for a class that takes none.
     """
     formula = table1_formula(class_id, n, k)
-    row = CLASSES[class_id]
-    k, rank = (k, k) if row.needs_k else (None, row.rank)
+    if not CLASSES[class_id].needs_k:
+        k = None
     best, witness = n + 1, None
     options = kept = nodes = 0
-    for votes_p in range(n + 1):
-        outcome_of = threshold_outcomes(n, votes_p)
-        realizable = _realizable(outcome_of)
+    for votes_p, outcome_of, sides, fills in _listings(class_id, n, k):
         decisions = [(t, outcome_of[t]) for t in threshold_family(n)]
-        scored = [
-            (_decision_bits(a, decisions, outcome_of), a)
-            for a in _kind_options(row.agent_kind, n, votes_p, rank)
-        ]
-        sides = []
-        for vote in (PROPOSAL, STATUS_QUO):
-            opts = [
-                (bits, a)
-                for bits, a in scored
-                if class_predicate(class_id, a, vote, outcome_of, realizable, k)
-            ]
-            bits = _pareto_minimal(opts)
-            options += len(opts)
-            kept += len(bits)
-            sides.append(bits)
-        bits_p, bits_r = sides
-        if (votes_p > 0 and not bits_p) or (votes_p < n and not bits_r):
+        bits_of = {a: _decision_bits(a, decisions, outcome_of) for a in set().union(*sides)}
+        options += sum(map(len, sides))
+        bits_p, bits_r = (_pareto_minimal([(bits_of[a], a) for a in side]) for side in sides)
+        kept += len(bits_p) + len(bits_r)
+        if not fills:
             continue
         slots = [bits_p] * votes_p + [bits_r] * (n - votes_p)
         best, agents, visited = _branch_and_bound(slots, len(decisions), best)

@@ -112,6 +112,8 @@ def cmd_gen(args) -> int:
         return EXIT_OK
     for n in sizes:
         bounds.check_class(args.class_id, n, args.k)
+        if not bounds.has_instance(args.class_id, n, args.k):
+            raise core.ValidationError(f"class {args.class_id!r} unsatisfiable for n={n}")
     for n in sizes:
         for _ in range(args.count):
             instance = _gen_adc(args.class_id, n, rng, args.k)

@@ -16,7 +16,8 @@ Acceptance has one closed form, the substitution
 ``substitute_absolute_disjunctivist(agent, rule_value)``: the absolute
 disjunctivist (R', Y') that accepts what ``agent`` accepts. ``max_accept``
 tallies from it and ``bounds`` scores agent options with it. ``accepts``
-restates the definition only as the oracle's reference.
+restates the definition only as the oracle's reference, deciding each agent
+once per decision. ``tie_break_order`` is both maximizers' one tie-break.
 
 The per-agent and per-rule records, ``SatisfyingSpec`` and ``RuleRef``,
 are ``typing.NamedTuple``s: a large electorate builds one per agent, and a
@@ -95,6 +96,20 @@ def freeze_agents(agents, loose, record) -> tuple:
     return tuple(agents)
 
 
+def tie_break_order(outcomes, rules, rule_value) -> list:
+    """``rules`` by their outcome's position in ``outcomes``, then as given; other rules left out.
+
+    The one tie-break: both maximizers, on generic and adc instances alike,
+    return the first maximizing decision in this order.
+    """
+    by_outcome = {y: [] for y in outcomes}
+    for r in rules:
+        group = by_outcome.get(rule_value[r])
+        if group is not None:
+            group.append(r)
+    return [r for group in by_outcome.values() for r in group]
+
+
 @dataclass(frozen=True)
 class GenericInstance:
     """One decision problem: universes, feasible subsets and the agents."""
@@ -133,10 +148,7 @@ class GenericInstance:
                 loose.append(idx)
         if loose:
             object.__setattr__(self, "agents", freeze_agents(self.agents, loose, SatisfyingSpec))
-        if not any(
-            r.id in self.feasible_rule_ids and r.value_at_profile in self.feasible_outcomes
-            for r in self.rules
-        ):
+        if not self.feasible_rules():
             raise ValidationError("no feasible decision exists")
 
     @cached_property
@@ -148,17 +160,12 @@ class GenericInstance:
         return len(self.agents)
 
     def feasible_rules(self) -> list:
-        """Ids of the feasible rules whose outcome is feasible, in tie-break order.
-
-        Outcomes come in the order ``outcomes`` declares them and, within
-        one outcome, rules in the order ``rules`` declares them. Both
-        maximizers return the first maximizing decision in this order.
-        """
-        by_outcome = {y: [] for y in self.outcomes if y in self.feasible_outcomes}
-        for r in self.rules:
-            if r.id in self.feasible_rule_ids and r.value_at_profile in by_outcome:
-                by_outcome[r.value_at_profile].append(r.id)
-        return [rid for ids in by_outcome.values() for rid in ids]
+        """Ids of the feasible rules whose outcome is feasible, in ``tie_break_order``."""
+        return tie_break_order(
+            [y for y in self.outcomes if y in self.feasible_outcomes],
+            [r.id for r in self.rules if r.id in self.feasible_rule_ids],
+            self.rule_value,
+        )
 
     def rule_ref(self, rule_id: str) -> RuleRef:
         return RuleRef(rule_id, self.rule_value[rule_id])
@@ -209,14 +216,6 @@ def _report(instance: GenericInstance, decision: Decision, accepted: frozenset) 
     )
 
 
-def make_report(instance: GenericInstance, decision: Decision) -> SolveReport:
-    """The report for ``decision``, deciding each agent with ``accepts``."""
-    accepted = frozenset(
-        i for i, agent in enumerate(instance.agents) if accepts(agent, decision, instance)
-    )
-    return _report(instance, decision, accepted)
-
-
 _EMPTY = frozenset()
 
 
@@ -253,7 +252,7 @@ def max_accept(instance) -> SolveReport:
 
     ``instance`` is a ``GenericInstance`` or an ``adc.AdcInstance``, read
     through ``agents``, ``outcomes``, the rule -> outcome lookup
-    ``rule_value``, ``feasible_rules()`` in tie-break order, ``rule_ref``
+    ``rule_value``, ``feasible_rules()`` in ``tie_break_order``, ``rule_ref``
     for the winner, and ``n``. A rule is a key of the lookup: a rule id, or
     an adc threshold, so an adc instance is tallied without a bridge.
 
@@ -295,16 +294,17 @@ def max_accept(instance) -> SolveReport:
 def oracle_max_accept(instance: GenericInstance) -> OracleResult:
     """Enumerate every feasible decision and tally acceptance for each.
 
-    The definitional solver ``max_accept`` is checked against. Ties break
-    toward the first maximizer in ``feasible_decisions()`` order.
+    The definitional solver ``max_accept`` is checked against. Each agent
+    is decided with ``accepts`` once per decision, and the report is the
+    first maximizer's accepters in ``feasible_decisions()`` order.
     """
     tally = []
     best = None
     for decision in instance.feasible_decisions():
-        count = sum(
-            1 for agent in instance.agents if accepts(agent, decision, instance)
+        accepted = frozenset(
+            i for i, agent in enumerate(instance.agents) if accepts(agent, decision, instance)
         )
-        tally.append((decision, count))
-        if best is None or count > best[1]:
-            best = (decision, count)
-    return OracleResult(report=make_report(instance, best[0]), tally=tuple(tally))
+        tally.append((decision, len(accepted)))
+        if best is None or len(accepted) > len(best[1]):
+            best = (decision, accepted)
+    return OracleResult(report=_report(instance, *best), tally=tuple(tally))

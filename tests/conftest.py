@@ -10,11 +10,9 @@ import acceptmax
 from acceptmax.adc import (
     OUTCOMES,
     PROPOSAL,
-    STATUS_QUO,
     AdcAgent,
     AdcInstance,
     majority_threshold,
-    supermajority_outcome,
     threshold_family,
 )
 from acceptmax.bounds import agent_options
@@ -96,13 +94,16 @@ def substituted(agent: SatisfyingSpec, instance: GenericInstance) -> SatisfyingS
 # the library decides acceptance through ``core``, and these check it.
 
 
+def reference_outcome(t: int, votes_p: int) -> str:
+    """The supermajority rule: threshold ``t`` adopts the proposal when ``votes_p >= t``."""
+    return "p" if votes_p >= t else "r"
+
+
 def adc_accepts(agent: AdcAgent, t: int, outcome: str, votes_p: int) -> bool:
     """Whether the agent accepts the decision (threshold ``t``, ``outcome``)."""
     outcome_ok = outcome in agent.outcomes
     if agent.implementation_indifferent:
-        rule_ok = any(
-            (PROPOSAL if votes_p >= s else STATUS_QUO) == outcome for s in agent.thresholds
-        )
+        rule_ok = any(reference_outcome(s, votes_p) == outcome for s in agent.thresholds)
     else:
         rule_ok = t in agent.thresholds
     if agent.conjunctive:
@@ -110,10 +111,10 @@ def adc_accepts(agent: AdcAgent, t: int, outcome: str, votes_p: int) -> bool:
     return outcome_ok or rule_ok
 
 
-def adc_decisions(n: int, votes_p: int, feasible) -> list:
+def adc_decisions(votes_p: int, feasible) -> list:
     """Feasible (threshold, outcome) pairs, sorted by (outcome, threshold)."""
     return sorted(
-        ((t, supermajority_outcome(t, votes_p, n)) for t in feasible),
+        ((t, reference_outcome(t, votes_p)) for t in feasible),
         key=lambda p: (p[1], p[0]),
     )
 
@@ -121,7 +122,7 @@ def adc_decisions(n: int, votes_p: int, feasible) -> list:
 def majority_count(instance: AdcInstance) -> int:
     """Acceptance count of the fixed mechanism that always applies majority rule."""
     t = majority_threshold(instance.n)
-    y = supermajority_outcome(t, instance.votes_p, instance.n)
+    y = reference_outcome(t, instance.votes_p)
     return sum(1 for a in instance.agents if adc_accepts(a, t, y, instance.votes_p))
 
 

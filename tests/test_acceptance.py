@@ -162,7 +162,7 @@ def test_criterion_4_ii_floor(report_line):
         feasible = frozenset(threshold_family(n))
         floor = math.ceil(n / len(OUTCOMES))
         for votes_p in range(n + 1):
-            decisions = adc_decisions(n, votes_p, feasible)
+            decisions = adc_decisions(votes_p, feasible)
             options = [
                 a
                 for a in _kind_options("ii_disj", n, votes_p)

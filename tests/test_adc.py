@@ -1,5 +1,6 @@
 """Binary-choice instances: threshold arithmetic, validation, worked examples, the bridge."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from acceptmax.adc import (
     majority_threshold,
     rule_id,
     rule_threshold,
-    supermajority_outcome,
     threshold_family,
     threshold_of,
     threshold_outcomes,
@@ -31,7 +31,13 @@ from acceptmax.core import (
     oracle_max_accept,
 )
 
-from conftest import adc_accepts, adc_decisions, loosened, random_adc_instance
+from conftest import (
+    adc_accepts,
+    adc_decisions,
+    loosened,
+    random_adc_instance,
+    reference_outcome,
+)
 
 
 def agent(R=(), Y=(), conjunctive=False, ii=False):
@@ -50,7 +56,7 @@ def threshold_oracle_count(inst):
     """Brute force over (threshold, outcome) pairs with the binary-choice predicate."""
     return max(
         sum(1 for a in inst.agents if adc_accepts(a, t, y, inst.votes_p))
-        for t, y in adc_decisions(inst.n, inst.votes_p, inst.feasible_thresholds)
+        for t, y in adc_decisions(inst.votes_p, inst.feasible_thresholds)
     )
 
 
@@ -99,17 +105,9 @@ class TestAgentRecord:
 
 class TestThresholds:
     def test_supermajority_outcome(self):
-        assert supermajority_outcome(3, 3, 5) == PROPOSAL
-        assert supermajority_outcome(5, 4, 5) == STATUS_QUO
-        assert supermajority_outcome(4, 4, 5) == PROPOSAL
-
-    def test_supermajority_outcome_range_checks(self):
-        with pytest.raises(ValidationError):
-            supermajority_outcome(0, 2, 5)
-        with pytest.raises(ValidationError):
-            supermajority_outcome(6, 2, 5)
-        with pytest.raises(ValidationError):
-            supermajority_outcome(3, 6, 5)
+        assert threshold_outcomes(5, 3)[3] == PROPOSAL
+        assert threshold_outcomes(5, 4)[5] == STATUS_QUO
+        assert threshold_outcomes(5, 4)[4] == PROPOSAL
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_family_size(self, n):
@@ -133,13 +131,14 @@ class TestThresholds:
         for t in range(1, n + 1):
             for v in range(n + 1):
                 expected = PROPOSAL if v > delta_of(t, n) * n else STATUS_QUO
-                assert supermajority_outcome(t, v, n) == expected
+                assert reference_outcome(t, v) == expected
+                assert threshold_outcomes(n, v)[t] == expected
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_threshold_outcomes_is_supermajority_outcome(self, n):
         for v in range(n + 1):
             assert threshold_outcomes(n, v) == {
-                t: supermajority_outcome(t, v, n) for t in range(1, n + 1)
+                t: reference_outcome(t, v) for t in range(1, n + 1)
             }
             # The bridge pairs the lookup's keys with its values in this order.
             assert list(threshold_outcomes(n, v)) == list(range(1, n + 1))
@@ -450,8 +449,22 @@ class TestBridge:
         for votes_p in range(n + 1):
             inst = AdcInstance(("p",) * votes_p + ("r",) * (n - votes_p), (agent(),) * n)
             assert adc_to_generic(inst).rules == tuple(
-                RuleRef(f"t{t}", supermajority_outcome(t, votes_p, n)) for t in range(1, n + 1)
+                RuleRef(f"t{t}", reference_outcome(t, votes_p)) for t in range(1, n + 1)
             )
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_feasible_rules_in_the_bridged_order(self, n):
+        family = list(threshold_family(n))
+        subsets = [
+            frozenset(c) for size in range(1, len(family) + 1)
+            for c in itertools.combinations(family, size)
+        ]
+        for votes_p in range(n + 1):
+            votes = (PROPOSAL,) * votes_p + (STATUS_QUO,) * (n - votes_p)
+            for feasible in subsets:
+                inst = AdcInstance(votes, (agent(),) * n, feasible)
+                generic = adc_to_generic(inst)
+                assert [rule_id(t) for t in inst.feasible_rules()] == generic.feasible_rules()
 
     def test_sub_majority_thresholds_stay_infeasible(self):
         inst = AdcInstance(("p", "p", "r"), (agent(R={1}, ii=True),) * 3)
@@ -474,7 +487,7 @@ def test_mechanism_count_equals_oracle(seed, n, kind):
     assert report.acceptance_count == threshold_oracle_count(inst) == oracle_count(inst)
     t = int(report.decision.rule.id.lstrip("t"))
     assert t in inst.feasible_thresholds
-    assert report.decision.outcome == supermajority_outcome(t, inst.votes_p, n)
+    assert report.decision.outcome == reference_outcome(t, inst.votes_p)
 
 
 @settings(max_examples=200, deadline=None)

@@ -23,6 +23,7 @@ from acceptmax.adc import (
     majority_threshold,
     rule_id,
     threshold_family,
+    threshold_outcomes,
 )
 from acceptmax.core import ValidationError, max_accept
 
@@ -130,7 +131,8 @@ class TestUniversalAcceptance:
         # dissenting agent with no counterfactual justification.
         peaks = (3, 3, 5, 5, 5)
         votes = induce_profile(peaks, r=3, p=5)
-        accepted = step_accepted_by(peaks, votes, p=5, winner=5)
+        outcome_of = threshold_outcomes(5, votes.count(PROPOSAL))
+        accepted = step_accepted_by(peaks, votes, outcome_of, PROPOSAL)
         trace = AmendmentTrace(
             steps=(AmendmentStep(3, 5, votes, 5, accepted),),
             final_rule=3,
@@ -142,7 +144,8 @@ class TestUniversalAcceptance:
         assert check_universal_acceptance(trace, inst)
         peaks = (3, 3, 3, 5, 5)
         votes = induce_profile(peaks, r=3, p=5)
-        accepted = step_accepted_by(peaks, votes, p=5, winner=5)
+        outcome_of = threshold_outcomes(5, votes.count(PROPOSAL))
+        accepted = step_accepted_by(peaks, votes, outcome_of, PROPOSAL)
         assert len(accepted) < 5
 
     def test_policies_preserve_guarantees_smoke(self):

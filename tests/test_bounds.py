@@ -146,7 +146,7 @@ def test_decision_bits_match_threshold_reference(n):
     # decides each (threshold, outcome) pair on its own, without core.
     feasible = frozenset(threshold_family(n))
     for votes_p in range(n + 1):
-        decisions = adc_decisions(n, votes_p, feasible)
+        decisions = adc_decisions(votes_p, feasible)
         outcome_of = threshold_outcomes(n, votes_p)
         for kind in ("conseq", "abs_disj", "abs_conj", "ii_disj", "ii_conj"):
             for a in full_kind_options(kind, n):

@@ -366,6 +366,13 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err == "error: class 'ii-disj-last' unsatisfiable for n=2\n"
 
+    def test_class_empty_at_any_size_exits_2_before_any_instance(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gen", "ii-disj-last", "--n", "3", "--n", "2", "--count", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: class 'ii-disj-last' unsatisfiable for n=2\n"
+
     def test_electorate_below_two_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gen", "amendment", "--n", "0"])

@@ -1,6 +1,7 @@
 """Generic model: acceptance predicate, substitution, mechanisms vs. the oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,6 @@ from acceptmax.core import (
     SatisfyingSpec,
     ValidationError,
     accepts,
-    make_report,
     max_accept,
     oracle_max_accept,
     substitute_absolute_disjunctivist,
@@ -98,6 +98,18 @@ class TestModel:
         inst = make_instance([spec()], rules=rules, outcomes=("B", "A"))
         keys = [(d.outcome, d.rule.id) for d in inst.feasible_decisions()]
         assert keys == [("B", "r10"), ("B", "r2"), ("A", "r9")]
+        # Outcome order C, A, B differs from rule order; A and r5 are infeasible.
+        rules = tuple(RuleRef(f"r{i}", y) for i, y in enumerate("ABCBC", start=1))
+        inst = GenericInstance(
+            outcomes=("C", "A", "B"),
+            rules=rules,
+            feasible_outcomes=frozenset({"B", "C"}),
+            feasible_rule_ids=frozenset({"r1", "r2", "r3", "r4"}),
+            agents=(spec(Y={"A", "B", "C"}),) * 2,
+        )
+        assert inst.feasible_rules() == ["r3", "r2", "r4"]
+        assert max_accept(inst).decision.rule.id == "r3"
+        assert max_accept(inst) == oracle_max_accept(inst).report
 
 
 class TestRecords:
@@ -192,7 +204,10 @@ class TestOracle:
         inst = make_instance(THREE_AGENTS)
         report = oracle_max_accept(inst).report
         assert report.acceptance_count == len(report.accepted_by)
-        assert report == make_report(inst, report.decision)
+        assert report.accepted_by == {
+            i for i, a in enumerate(inst.agents) if accepts(a, report.decision, inst)
+        }
+        assert report.acceptance_rate == Fraction(report.acceptance_count, inst.n)
 
 
 class TestSubstitution:
