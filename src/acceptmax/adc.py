@@ -16,12 +16,12 @@ an instance's feasible thresholds are ordered by ``core.tie_break_order``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from .core import (
+    FrozenValue,
     GenericInstance,
     RuleRef,
     SatisfyingSpec,
@@ -81,16 +81,15 @@ class AdcAgent(NamedTuple):
     implementation_indifferent: bool = False
 
 
-@dataclass(frozen=True)
-class AdcInstance:
+class AdcInstance(FrozenValue):
     """A binary-choice problem: the votes, the feasible thresholds, the agents."""
 
-    votes: tuple
-    agents: tuple
-    feasible_thresholds: frozenset = None  # defaults to the full family
+    _fields = ("votes", "agents", "feasible_thresholds")
     outcomes = (STATUS_QUO, PROPOSAL)  # not a field: the universe in tie-break order
 
-    def __post_init__(self):
+    def __init__(self, votes: tuple, agents: tuple, feasible_thresholds: frozenset | None = None):
+        # ``feasible_thresholds`` defaults to the full family.
+        self.__dict__.update(votes=votes, agents=agents, feasible_thresholds=feasible_thresholds)
         n = len(self.votes)
         if n == 0:
             raise ValidationError("instance has no votes")
@@ -169,18 +168,15 @@ def adc_to_generic(instance: AdcInstance) -> GenericInstance:
     members are feasible rules, declared in the orders ``AdcInstance.feasible_rules``
     hands ``core.tie_break_order``. The rules are the instance's ``rule_value`` in
     key order; each id is built once per call, so the rules and the agents'
-    and feasible sets share it.
+    and feasible sets share it. Agent records are built with ``tuple.__new__``,
+    as the parsers build theirs, skipping the NamedTuple's argument binding.
     """
     values = instance.rule_value
     ids = {t: rule_id(t) for t in values}
+    record = tuple.__new__
     agents = [
-        SatisfyingSpec(
-            frozenset(map(ids.__getitem__, a.thresholds)),
-            a.outcomes,
-            a.conjunctive,
-            a.implementation_indifferent,
-        )
-        for a in instance.agents
+        record(SatisfyingSpec, (frozenset(map(ids.__getitem__, thresholds)), outcomes, conj, ii))
+        for thresholds, outcomes, conj, ii in instance.agents
     ]
     return GenericInstance(
         outcomes=instance.outcomes,

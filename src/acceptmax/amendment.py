@@ -15,8 +15,8 @@ there directly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .adc import (
     PROPOSAL,
@@ -25,7 +25,7 @@ from .adc import (
     threshold_family,
     threshold_outcomes,
 )
-from .core import ValidationError
+from .core import FrozenValue, ValidationError
 
 
 class VotePolicy(str, enum.Enum):
@@ -40,15 +40,13 @@ class VotePolicy(str, enum.Enum):
     PROPOSAL_BIASED = "proposal"
 
 
-@dataclass(frozen=True)
-class AmendmentInstance:
+class AmendmentInstance(FrozenValue):
     """Agent peaks, the threshold currently in force, and the vote policy."""
 
-    peaks: tuple
-    status_quo: int
-    vote_policy: VotePolicy = VotePolicy.NEARER
+    _fields = ("peaks", "status_quo", "vote_policy")
 
-    def __post_init__(self):
+    def __init__(self, peaks: tuple, status_quo: int, vote_policy: VotePolicy = VotePolicy.NEARER):
+        self.__dict__.update(peaks=peaks, status_quo=status_quo, vote_policy=vote_policy)
         n = len(self.peaks)
         if n == 0:
             raise ValidationError("instance has no agents")
@@ -65,8 +63,7 @@ class AmendmentInstance:
         return len(self.peaks)
 
 
-@dataclass(frozen=True)
-class AmendmentStep:
+class AmendmentStep(NamedTuple):
     """One proposal: thresholds on the ballot, induced votes, and who accepted."""
 
     status_quo: int
@@ -76,15 +73,13 @@ class AmendmentStep:
     accepted_by: frozenset
 
 
-@dataclass(frozen=True)
-class AmendmentTrace:
+class AmendmentTrace(NamedTuple):
     steps: tuple
     final_rule: int  # threshold of the rule that decided the final step
     final_outcome: int
 
 
-@dataclass(frozen=True)
-class OneStepReport:
+class OneStepReport(NamedTuple):
     """Direct amendment to the stable threshold, or no amendment at all.
 
     ``votes`` and ``accepted_by`` are None when no vote takes place

@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .adc import (
     PROPOSAL,
@@ -67,8 +67,7 @@ from .adc import (
 from .core import ValidationError, substitute_absolute_disjunctivist
 
 
-@dataclass(frozen=True)
-class InstanceClass:
+class InstanceClass(NamedTuple):
     """One verifiable row: an agent kind plus a per-agent assumption.
 
     ``rank`` is the most thresholds an inclusion-minimal option of an
@@ -105,8 +104,7 @@ CLASSES = {
 }
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     class_id: str
     n: int
     k: int | None

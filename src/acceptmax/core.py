@@ -19,19 +19,22 @@ tallies from it and ``bounds`` scores agent options with it. ``accepts``
 restates the definition only as the oracle's reference, deciding each agent
 once per decision. ``tie_break_order`` is both maximizers' one tie-break.
 
-The per-agent and per-rule records, ``SatisfyingSpec`` and ``RuleRef``,
-are ``typing.NamedTuple``s: a large electorate builds one per agent, and a
-tuple is built in about a third of a frozen dataclass's time. Their fields
-cannot be assigned, and equal fields give equal records with equal hashes.
-Being tuples, they also compare equal to a plain tuple of the same fields,
-and they iterate and order like one (``RuleRef`` by id, then value).
-``Decision``, which checks its fields, the instances and the reports are
-frozen dataclasses.
+Equal fields give equal values with equal hashes, and no field can be
+assigned. No class here comes from the standard library's class-generating
+decorator: its module loads ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+and each decorated class execs generated code, which together cost a cold
+``acceptmax solve`` more start-up time than the package's own modules. The
+records that check nothing are ``typing.NamedTuple``s: ``SatisfyingSpec``
+and ``RuleRef``, built per agent and rule, and the reports ``SolveReport``
+and ``OracleResult``. Being tuples, they also compare equal to a plain tuple
+of the same fields, unpack, and iterate and order like one (``RuleRef`` by
+id, then value). ``Decision`` and the instances check their fields when
+built, so they are plain classes on ``FrozenValue``: each ``__init__`` sets
+the fields and then validates, and they never equal a tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -42,6 +45,38 @@ class ValidationError(ValueError):
     """Raised when an instance fails structural validation at load time."""
 
 
+class FrozenValue:
+    """Base of the classes that validate their fields: an immutable value.
+
+    A subclass lists its fields in ``_fields`` and sets them in ``__init__``
+    through the instance ``__dict__`` (or ``object.__setattr__``), which
+    ``__setattr__`` does not guard; ``cached_property`` writes there too.
+    Values of the same class compare and hash by their fields, and compare
+    unequal to anything else.
+    """
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__qualname__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__qualname__} is immutable")
+
+
 class RuleRef(NamedTuple):
     """A decision rule, identified by id and by its value on the observed profile."""
 
@@ -49,14 +84,13 @@ class RuleRef(NamedTuple):
     value_at_profile: str
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(FrozenValue):
     """A (rule, outcome) pair with the outcome the rule selects on the profile."""
 
-    rule: RuleRef
-    outcome: str
+    _fields = ("rule", "outcome")
 
-    def __post_init__(self):
+    def __init__(self, rule: RuleRef, outcome: str):
+        self.__dict__.update(rule=rule, outcome=outcome)
         if self.outcome != self.rule.value_at_profile:
             raise ValidationError(
                 f"decision outcome {self.outcome!r} does not match "
@@ -110,17 +144,26 @@ def tie_break_order(outcomes, rules, rule_value) -> list:
     return [r for group in by_outcome.values() for r in group]
 
 
-@dataclass(frozen=True)
-class GenericInstance:
+class GenericInstance(FrozenValue):
     """One decision problem: universes, feasible subsets and the agents."""
 
-    outcomes: tuple
-    rules: tuple
-    feasible_outcomes: frozenset
-    feasible_rule_ids: frozenset
-    agents: tuple
+    _fields = ("outcomes", "rules", "feasible_outcomes", "feasible_rule_ids", "agents")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        outcomes: tuple,
+        rules: tuple,
+        feasible_outcomes: frozenset,
+        feasible_rule_ids: frozenset,
+        agents: tuple,
+    ):
+        self.__dict__.update(
+            outcomes=outcomes,
+            rules=rules,
+            feasible_outcomes=feasible_outcomes,
+            feasible_rule_ids=feasible_rule_ids,
+            agents=agents,
+        )
         outcome_universe = set(self.outcomes)
         if len(outcome_universe) != len(self.outcomes):
             raise ValidationError("duplicate outcome ids")
@@ -175,8 +218,7 @@ class GenericInstance:
         return [Decision(r, r.value_at_profile) for r in map(self.rule_ref, self.feasible_rules())]
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Chosen decision plus exactly who accepts it."""
 
     decision: Decision
@@ -185,8 +227,7 @@ class SolveReport:
     acceptance_rate: Fraction
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Brute-force result: the best report and the count for every feasible decision."""
 
     report: SolveReport

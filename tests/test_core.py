@@ -1,12 +1,15 @@
 """Generic model: acceptance predicate, substitution, mechanisms vs. the oracle."""
 
+import functools
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acceptmax.adc import adc_to_generic
+from acceptmax.adc import AdcAgent, AdcInstance, adc_to_generic
+from acceptmax.amendment import AmendmentInstance, VotePolicy
 from acceptmax.core import (
     Decision,
     GenericInstance,
@@ -112,23 +115,52 @@ class TestModel:
         assert max_accept(inst) == oracle_max_accept(inst).report
 
 
+def adc_instance(threshold=2):
+    """Votes p, r, p; the last agent, implementation-indifferent, names ``threshold``."""
+    first = AdcAgent(frozenset({2}), frozenset({"p"}))
+    last = AdcAgent(frozenset({threshold}), frozenset({"r"}), False, True)
+    return AdcInstance(("p", "r", "p"), (first, first, last))
+
+
+# One builder per class that validates its fields, each call a new value; its
+# first argument and the message its rejection of a bad one raises.
+VALIDATED = {
+    "Decision": (
+        lambda rule=RuleRef("r1", "A"): Decision(rule, "A"),
+        RuleRef("r2", "B"),
+        "^decision outcome 'A' does not match rule 'r2' value 'B'$",
+    ),
+    "GenericInstance": (
+        lambda agent=spec(R={"r1"}, Y={"A"}): make_instance([spec(Y={"B"}), agent]),
+        spec(R={"r9"}),
+        "^agent 1 references unknown rule ids$",
+    ),
+    "AdcInstance": (adc_instance, 0, r"^agent 2 thresholds must be integers in \[1, 3\]$"),
+    "AmendmentInstance": (
+        lambda peak=3: AmendmentInstance((2, 3, peak), 2),
+        1,
+        "^peak outside the feasible threshold family$",
+    ),
+}
+
+
 class TestRecords:
-    """Rules and specs are immutable values: equal fields, equal and same hash."""
+    """Records, decisions and instances are immutable values: equal fields, equal and same hash."""
 
     @pytest.mark.parametrize(
         "record, field",
         [
-            (RuleRef("r1", "A"), "id"),
-            (RuleRef("r1", "A"), "value_at_profile"),
-            (spec(R={"r1"}, Y={"A"}), "rule_ids"),
-            (spec(R={"r1"}, Y={"A"}), "outcomes"),
-            (spec(R={"r1"}, Y={"A"}), "conjunctive"),
-            (spec(R={"r1"}, Y={"A"}), "implementation_indifferent"),
+            (record, field)
+            for record in [RuleRef("r1", "A"), spec(R={"r1"}, Y={"A"})]
+            + [build() for build, _, _ in VALIDATED.values()]
+            for field in record._fields
         ],
     )
     def test_fields_cannot_be_assigned(self, record, field):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
 
     def test_equal_fields_equal_and_same_hash(self):
         assert RuleRef("r1", "A") == RuleRef("r1", "A")
@@ -138,6 +170,69 @@ class TestRecords:
         b = spec(R={"r1"}, Y={"A"}, conjunctive=True)
         assert a == b and hash(a) == hash(b)
         assert a != spec(R={"r1"}, Y={"A"})
+
+    @pytest.mark.parametrize("name", VALIDATED)
+    def test_validated_values_compare_by_fields_only(self, name):
+        build, _, _ = VALIDATED[name]
+        a, b = build(), build()
+        # Every constructor argument is a field that equality reads.
+        assert a._fields == tuple(inspect.signature(type(a)).parameters)
+        assert a is not b and a == b and hash(a) == hash(b)
+        fields = tuple(getattr(a, field) for field in a._fields)
+        assert a != fields and fields != a
+        assert repr(a).startswith(f"{name}({a._fields[0]}=")
+
+    def test_validated_values_differ_by_any_field(self):
+        assert Decision(RuleRef("r1", "A"), "A") != Decision(RuleRef("r3", "A"), "A")
+        assert make_instance([spec(R={"r1"})]) != make_instance([spec(R={"r2"})])
+        assert adc_instance(2) != adc_instance(1)
+        votes, agents = adc_instance().votes, adc_instance().agents
+        assert AdcInstance(votes, agents, frozenset({2})) != AdcInstance(votes, agents)
+        assert AdcInstance(votes, agents) == AdcInstance(votes, agents, frozenset({2, 3}))
+        assert AmendmentInstance((2, 3, 3), 2) != AmendmentInstance((2, 3, 3), 3)
+        assert AmendmentInstance((2, 3, 3), 2) != AmendmentInstance((2, 3, 3), 2, "proposal")
+        assert AmendmentInstance((2, 3, 3), 2) == AmendmentInstance((2, 3, 3), 2, "nearer")
+        # Normalized fields compare as stored: list agents are stored as frozensets.
+        loose = make_instance([SatisfyingSpec(["r1"], ["A"])])
+        assert loose == make_instance([spec(R={"r1"}, Y={"A"})])
+
+    def test_derived_values_read_and_are_kept(self):
+        inst = make_instance([spec(R={"r1"})] * 2)
+        assert inst.rule_value == {"r1": "A", "r2": "B", "r3": "A"} and inst.n == 2
+        adc = adc_instance()
+        assert (adc.n, adc.votes_p) == (3, 2)
+        assert adc.rule_value == {1: "p", 2: "p", 3: "r"}
+        assert AmendmentInstance((3, 3, 4, 4), 3).n == 4
+        for value, name in [(inst, "rule_value"), (adc, "rule_value"), (adc, "votes_p")]:
+            assert getattr(value, name) is getattr(value, name)
+
+    def test_keywords_and_defaults_are_unchanged(self):
+        adc = adc_instance()
+        assert AdcInstance(votes=adc.votes, agents=adc.agents) == adc
+        assert adc.feasible_thresholds == frozenset({2, 3})
+        amend = AmendmentInstance(peaks=(2, 3, 3), status_quo=2)
+        assert amend.vote_policy is VotePolicy.NEARER
+        assert Decision(rule=RuleRef("r1", "A"), outcome="A") == Decision(RuleRef("r1", "A"), "A")
+
+    @pytest.mark.parametrize("name", VALIDATED)
+    def test_validation_survives_a_wrapped_init(self, name, monkeypatch):
+        # A profiler that times validation wraps ``__init__`` in a pass-through.
+        build, bad, message = VALIDATED[name]
+        cls = type(build())
+        init = cls.__init__
+        calls = []
+
+        @functools.wraps(init)
+        def traced(*args, **kwargs):
+            calls.append(1)
+            return init(*args, **kwargs)
+
+        expected = build()
+        monkeypatch.setattr(cls, "__init__", traced)
+        assert build() == expected
+        with pytest.raises(ValidationError, match=message):
+            build(bad)
+        assert len(calls) == 2
 
     def test_flags_default_to_false(self):
         agent = SatisfyingSpec(frozenset(), frozenset({"A"}))
