@@ -88,19 +88,19 @@ class AdcInstance(FrozenValue):
     outcomes = (STATUS_QUO, PROPOSAL)  # not a field: the universe in tie-break order
 
     def __init__(self, votes: tuple, agents: tuple, feasible_thresholds: frozenset | None = None):
-        # ``feasible_thresholds`` defaults to the full family.
-        self.__dict__.update(votes=votes, agents=agents, feasible_thresholds=feasible_thresholds)
+        self.__dict__.update(votes=tuple(votes), agents=tuple(agents))
         n = len(self.votes)
         if n == 0:
             raise ValidationError("instance has no votes")
         if not all(map(OUTCOMES.__contains__, self.votes)):
             raise ValidationError("votes must be 'r' or 'p'")
         family = frozenset(threshold_family(n))
-        if self.feasible_thresholds is None:
-            object.__setattr__(self, "feasible_thresholds", family)
-        feasible = self.feasible_thresholds
+        # None means the full family. The elements are checked before freezing,
+        # since an int would absorb an equal float or bool.
+        feasible = family if feasible_thresholds is None else feasible_thresholds
         if not feasible or any(type(t) is not int or t not in family for t in feasible):
             raise ValidationError("feasible thresholds must be a nonempty family subset")
+        object.__setattr__(self, "feasible_thresholds", frozenset(feasible))
         if len(self.agents) != n:
             raise ValidationError("agent count must match vote count")
         # Types are checked per element: ``2.0`` and ``True`` equal and hash

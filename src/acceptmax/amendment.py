@@ -46,7 +46,7 @@ class AmendmentInstance(FrozenValue):
     _fields = ("peaks", "status_quo", "vote_policy")
 
     def __init__(self, peaks: tuple, status_quo: int, vote_policy: VotePolicy = VotePolicy.NEARER):
-        self.__dict__.update(peaks=peaks, status_quo=status_quo, vote_policy=vote_policy)
+        self.__dict__.update(peaks=tuple(peaks), status_quo=status_quo, vote_policy=vote_policy)
         n = len(self.peaks)
         if n == 0:
             raise ValidationError("instance has no agents")

@@ -260,37 +260,32 @@ def _kind_options(agent_kind: str, n: int, votes_p: int, rank: int | None = None
     raise ValidationError(f"unknown agent kind {agent_kind!r}")
 
 
-def agent_options(class_id, n, votes_p, vote, k=None):
-    """Class-satisfying agent options for one voter, in canonical order.
+def class_options(class_id: str, n: int, votes_p: int, k: int | None, rank: int | None = None):
+    """A vote count's ``outcome_of`` and its class options for each side of the vote.
 
-    The full listing, uncapped: ``gen`` samples from it.
+    The sides are a proposal voter's options, then a status-quo voter's,
+    each in canonical order, naming at most ``rank`` thresholds.
+    ``rank=None`` gives the full listing: ``gen`` samples from it.
     """
     outcome_of = threshold_outcomes(n, votes_p)
     realizable = _realizable(outcome_of)
-    return [
-        a
-        for a in _kind_options(CLASSES[class_id].agent_kind, n, votes_p)
-        if class_predicate(class_id, a, vote, outcome_of, realizable, k)
+    options = _kind_options(CLASSES[class_id].agent_kind, n, votes_p, rank)
+    return outcome_of, [
+        [a for a in options if class_predicate(class_id, a, vote, outcome_of, realizable, k)]
+        for vote in (PROPOSAL, STATUS_QUO)
     ]
 
 
 def _listings(class_id: str, n: int, k: int | None):
-    """Per vote count: ``(votes_p, outcome_of, sides, fills)``, options listed up to the rank.
+    """Per vote count: ``(votes_p, outcome_of, sides, fills)``, from ``class_options`` at the rank.
 
-    ``sides`` holds a proposal voter's class options, then a status-quo
-    voter's, in canonical order; ``fills`` says whether each side that has
-    voters has one. The rank cap drops no option Pareto pruning keeps.
+    ``fills`` says whether each side that has voters has an option. The
+    rank cap drops no option Pareto pruning keeps.
     """
     row = CLASSES[class_id]
     rank = k if row.needs_k else row.rank
     for votes_p in range(n + 1):
-        outcome_of = threshold_outcomes(n, votes_p)
-        realizable = _realizable(outcome_of)
-        options = _kind_options(row.agent_kind, n, votes_p, rank)
-        sides = [
-            [a for a in options if class_predicate(class_id, a, vote, outcome_of, realizable, k)]
-            for vote in (PROPOSAL, STATUS_QUO)
-        ]
+        outcome_of, sides = class_options(class_id, n, votes_p, k, rank)
         yield votes_p, outcome_of, sides, (votes_p == 0 or sides[0]) and (votes_p == n or sides[1])
 
 

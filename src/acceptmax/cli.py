@@ -88,10 +88,10 @@ def cmd_bounds(args) -> int:
 def _gen_adc(class_id, n, rng, k):
     for _attempt in range(10_000):
         votes = tuple(rng.choice(adc.OUTCOMES) for _ in range(n))
-        votes_p = sum(1 for v in votes if v == adc.PROPOSAL)
         # An agent's options depend only on its vote: list each vote's once.
-        options = {v: bounds.agent_options(class_id, n, votes_p, v, k) for v in set(votes)}
-        if all(options.values()):
+        _, sides = bounds.class_options(class_id, n, votes.count(adc.PROPOSAL), k)
+        options = dict(zip((adc.PROPOSAL, adc.STATUS_QUO), sides))
+        if all(options[v] for v in set(votes)):
             return adc.AdcInstance(votes, tuple(rng.choice(options[v]) for v in votes))
     raise core.ValidationError(f"class {class_id!r} unsatisfiable for n={n}")
 

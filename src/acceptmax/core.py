@@ -116,6 +116,14 @@ class SatisfyingSpec(NamedTuple):
     implementation_indifferent: bool = False
 
 
+def _frozen(values, what: str) -> frozenset:
+    """``values`` as a frozenset; an unhashable element raises ValidationError naming ``what``."""
+    try:
+        return frozenset(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be hashable") from None
+
+
 def freeze_agents(agents, loose, record) -> tuple:
     """``agents`` with the records at the indices ``loose`` rebuilt as ``record``s of frozensets.
 
@@ -158,20 +166,21 @@ class GenericInstance(FrozenValue):
         agents: tuple,
     ):
         self.__dict__.update(
-            outcomes=outcomes,
-            rules=rules,
-            feasible_outcomes=feasible_outcomes,
-            feasible_rule_ids=feasible_rule_ids,
-            agents=agents,
+            outcomes=tuple(outcomes),
+            rules=tuple(rules),
+            feasible_outcomes=_frozen(feasible_outcomes, "feasible outcomes"),
+            feasible_rule_ids=_frozen(feasible_rule_ids, "feasible rules"),
+            agents=tuple(agents),
         )
-        outcome_universe = set(self.outcomes)
+        outcome_universe = _frozen(self.outcomes, "outcome ids")
         if len(outcome_universe) != len(self.outcomes):
             raise ValidationError("duplicate outcome ids")
-        rule_universe = {r.id for r in self.rules}
+        rule_universe = _frozen([r.id for r in self.rules], "rule ids")
         if len(rule_universe) != len(self.rules):
             raise ValidationError("duplicate rule ids")
         for r in self.rules:
-            if r.value_at_profile not in outcome_universe:
+            # Compared by equality: an unhashable value is unknown, not a TypeError.
+            if r.value_at_profile not in self.outcomes:
                 raise ValidationError(
                     f"rule {r.id!r} selects unknown outcome {r.value_at_profile!r}"
                 )

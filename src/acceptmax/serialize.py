@@ -84,6 +84,22 @@ def _list_field(obj, key, where):
     return value
 
 
+def _set_field(obj, key, where, default):
+    """An optional JSON array of scalars as a frozenset, or ``default`` when absent.
+
+    A null field also reads as a None ``default``, and is an error otherwise.
+    """
+    value = obj.get(key, default)
+    if value is default:
+        return default
+    if not isinstance(value, list):
+        raise _not_list(where, **{key: value})
+    try:
+        return frozenset(value)
+    except TypeError:
+        raise _unhashable(where, **{key: value}) from None
+
+
 def _int_field(obj, key, where) -> int:
     value = _field(obj, key, where)
     if type(value) is not int:
@@ -168,18 +184,11 @@ def parse_adc(obj) -> adc.AdcInstance:
     votes = _field(obj, "votes", "adc instance")
     if not isinstance(votes, (str, list)):
         raise ParseError("adc instance: field 'votes' must be a string or a list")
-    votes = tuple(votes)
     if len(votes) != n:
         raise ParseError(f"adc instance: expected {n} votes, got {len(votes)}")
     agents = _list_field(obj, "agents", "adc instance")
     agents = tuple(map(_parse_adc_agent, agents, range(len(agents)), repeat(n)))
-    feasible = obj.get("feasible_t")
-    if not (feasible is None or isinstance(feasible, list)):
-        raise _not_list("adc instance", feasible_t=feasible)
-    try:
-        feasible = frozenset(feasible) if feasible is not None else None
-    except TypeError:
-        raise _unhashable("adc instance", feasible_t=feasible) from None
+    feasible = _set_field(obj, "feasible_t", "adc instance", None)
     try:
         return adc.AdcInstance(votes=votes, agents=agents, feasible_thresholds=feasible)
     except core.ValidationError as exc:
@@ -196,7 +205,6 @@ def parse_generic(obj) -> core.GenericInstance:
         if type(rule_id) is not str or type(value) is not str:
             raise ParseError(f"{where}: fields 'id' and 'value' must be strings")
         rules.append(core.RuleRef(rule_id, value))
-    rules = tuple(rules)
     agents = []
     for i, a in enumerate(_list_field(obj, "agents", "generic instance")):
         try:
@@ -219,30 +227,17 @@ def parse_generic(obj) -> core.GenericInstance:
     outcomes = _list_field(obj, "outcomes", "generic instance")
     if not all(type(y) is str for y in outcomes):
         raise ParseError("generic instance: field 'outcomes' must list strings")
-    feasible_outcomes = obj.get("feasible_outcomes", outcomes)
-    feasible_rules = obj.get("feasible_rules", [r.id for r in rules])
-    if not (isinstance(feasible_outcomes, list) and isinstance(feasible_rules, list)):
-        raise _not_list(
-            "generic instance",
-            feasible_outcomes=feasible_outcomes,
-            feasible_rules=feasible_rules,
-        )
-    try:
-        feasible_outcomes = frozenset(feasible_outcomes)
-        feasible_rules = frozenset(feasible_rules)
-    except TypeError:
-        raise _unhashable(
-            "generic instance",
-            feasible_outcomes=feasible_outcomes,
-            feasible_rules=feasible_rules,
-        ) from None
+    # Absent: every outcome, every rule.
+    all_outcomes, all_rules = frozenset(outcomes), frozenset(r.id for r in rules)
+    feasible_outcomes = _set_field(obj, "feasible_outcomes", "generic instance", all_outcomes)
+    feasible_rules = _set_field(obj, "feasible_rules", "generic instance", all_rules)
     try:
         return core.GenericInstance(
-            outcomes=tuple(outcomes),
+            outcomes=outcomes,
             rules=rules,
             feasible_outcomes=feasible_outcomes,
             feasible_rule_ids=feasible_rules,
-            agents=tuple(agents),
+            agents=agents,
         )
     except core.ValidationError as exc:
         raise ParseError(f"generic instance: {exc}") from exc
@@ -250,7 +245,7 @@ def parse_generic(obj) -> core.GenericInstance:
 
 def parse_amendment(obj) -> amendment.AmendmentInstance:
     n = _int_field(obj, "n", "amendment instance")
-    peaks = tuple(_list_field(obj, "peaks_t", "amendment instance"))
+    peaks = _list_field(obj, "peaks_t", "amendment instance")
     if len(peaks) != n:
         raise ParseError(f"amendment instance: expected {n} peaks, got {len(peaks)}")
     if not all(type(p) is int for p in peaks):
@@ -260,7 +255,7 @@ def parse_amendment(obj) -> amendment.AmendmentInstance:
         return amendment.AmendmentInstance(
             peaks=peaks,
             status_quo=status_quo,
-            vote_policy=amendment.VotePolicy(obj.get("vote_policy", "nearer")),
+            vote_policy=obj.get("vote_policy", amendment.VotePolicy.NEARER),
         )
     except (core.ValidationError, ValueError) as exc:
         raise ParseError(f"amendment instance: {exc}") from exc

@@ -15,7 +15,7 @@ from acceptmax.adc import (
     majority_threshold,
     threshold_family,
 )
-from acceptmax.bounds import agent_options
+from acceptmax.bounds import class_options
 from acceptmax.core import (
     GenericInstance,
     RuleRef,
@@ -189,7 +189,8 @@ def enumerate_instances(class_id: str, n: int, k: int | None = None):
     """
     for votes in itertools.product(OUTCOMES, repeat=n):
         votes_p = sum(1 for v in votes if v == PROPOSAL)
-        per_agent = [agent_options(class_id, n, votes_p, v, k) for v in votes]
+        _, (options_p, options_r) = class_options(class_id, n, votes_p, k)
+        per_agent = [options_p if v == PROPOSAL else options_r for v in votes]
         if any(not opts for opts in per_agent):
             continue
         for agents in itertools.product(*per_agent):

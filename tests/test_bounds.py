@@ -23,11 +23,10 @@ from acceptmax.bounds import (
     CLASSES,
     _branch_and_bound,
     _decision_bits,
-    _kind_options,
     _pareto_minimal,
     _realizable,
-    agent_options,
     check_class,
+    class_options,
     class_predicate,
     table1_formula,
     worst_case_rate,
@@ -164,26 +163,19 @@ def test_rank_cap_keeps_the_full_listings_options(n):
     for class_id in sorted(CLASSES):
         ks = range(1, len(family) + 1) if CLASSES[class_id].needs_k else [None]
         for k in ks:
-            kind = CLASSES[class_id].agent_kind
             rank = k if CLASSES[class_id].needs_k else CLASSES[class_id].rank
             for votes_p in range(n + 1):
-                outcome_of = threshold_outcomes(n, votes_p)
-                realizable = _realizable(outcome_of)
+                outcome_of, capped = class_options(class_id, n, votes_p, k, rank)
+                _, full = class_options(class_id, n, votes_p, k)
                 decisions = [(t, outcome_of[t]) for t in family]
-                capped = _kind_options(kind, n, votes_p, rank)
 
                 def kept(opts):
                     return _pareto_minimal(
                         (_decision_bits(a, decisions, outcome_of), a) for a in opts
                     )
 
-                for vote in OUTCOMES:
-                    full = agent_options(class_id, n, votes_p, vote, k)
-                    capped_here = [
-                        a for a in capped
-                        if class_predicate(class_id, a, vote, outcome_of, realizable, k)
-                    ]
-                    assert kept(capped_here) == kept(full), (class_id, k, votes_p, vote)
+                for vote, capped_here, full_here in zip(OUTCOMES, capped, full):
+                    assert kept(capped_here) == kept(full_here), (class_id, k, votes_p, vote)
 
 
 def full_space_min(class_id, n, k=None):

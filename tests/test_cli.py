@@ -163,6 +163,10 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", path)
         assert code == 2
 
+    def test_adc_file_rejected_by_amend(self, capsys, write_json):
+        code, out, err = run_cli(capsys, "amend", write_json(ADC_II_DISJ))
+        assert (code, out, err) == (2, "", "error: amend expects an amendment instance\n")
+
     def test_non_object_agent_exits_2(self, capsys, write_json):
         path = write_json({**ADC_CONSEQ, "agents": [1, 2, 3]})
         code, _, err = run_cli(capsys, "solve", path)
@@ -760,6 +764,53 @@ MALFORMED = {
     "amendment status quo float": (
         {**AMENDMENT, "status_quo_t": 3.0},
         "'status_quo_t' must be an integer",
+    ),
+    "feasible_t not a list": (
+        {**ADC_II_DISJ, "feasible_t": "23"},
+        _error_line("adc instance: field 'feasible_t' must be a list"),
+    ),
+    "generic feasible_outcomes string": (
+        {**GENERIC, "feasible_outcomes": "AB"},
+        _error_line("generic instance: field 'feasible_outcomes' must be a list"),
+    ),
+    "generic feasible_outcomes null": (
+        {**GENERIC, "feasible_outcomes": None},
+        _error_line("generic instance: field 'feasible_outcomes' must be a list"),
+    ),
+    "generic feasible_rules string": (
+        {**GENERIC, "feasible_rules": "r1"},
+        _error_line("generic instance: field 'feasible_rules' must be a list"),
+    ),
+    "generic feasible_rules null": (
+        {**GENERIC, "feasible_rules": None},
+        _error_line("generic instance: field 'feasible_rules' must be a list"),
+    ),
+    # Each optional set is read on its own, outcomes first: a bad element in
+    # 'feasible_outcomes' is named before a non-list 'feasible_rules'.
+    "generic both feasible fields bad": (
+        {**GENERIC, "feasible_outcomes": [["A"]], "feasible_rules": "r1"},
+        _error_line("generic instance: field 'feasible_outcomes' holds a list"),
+    ),
+    "adc no votes": (
+        {**ADC_II_DISJ, "n": 0, "votes": "", "agents": []},
+        _error_line("adc instance: instance has no votes"),
+    ),
+    "adc vote x": (
+        {**ADC_II_DISJ, "votes": "ppx"},
+        _error_line("adc instance: votes must be 'r' or 'p'"),
+    ),
+    "generic duplicate outcome": (
+        {**GENERIC, "outcomes": ["A", "B", "A"]},
+        _error_line("generic instance: duplicate outcome ids"),
+    ),
+    "amendment n 0": (
+        {**AMENDMENT, "n": 0, "peaks_t": []},
+        _error_line("amendment instance: instance has no agents"),
+    ),
+    # The peaks are checked before the vote policy is converted.
+    "amendment bad peak and policy": (
+        {**AMENDMENT, "peaks_t": [1, 4, 4, 5, 5], "vote_policy": "bogus"},
+        _error_line("amendment instance: peak outside the feasible threshold family"),
     ),
 }
 

@@ -246,6 +246,66 @@ class TestRecords:
         ]
 
 
+class TestStoredFields:
+    """Sequence fields are stored as tuples and set fields as frozensets, whatever was passed."""
+
+    def test_list_sequences_equal_tuples(self):
+        adc = adc_instance()
+        listed = AdcInstance(list(adc.votes), list(adc.agents))
+        assert listed == adc and hash(listed) == hash(adc)
+        assert type(listed.votes) is type(listed.agents) is tuple
+        assert AdcInstance("prp", adc.agents) == adc
+        amend = AmendmentInstance([2, 3, 3], 2)
+        assert amend == AmendmentInstance((2, 3, 3), 2)
+        assert hash(amend) == hash(AmendmentInstance((2, 3, 3), 2))
+        assert type(amend.peaks) is tuple
+
+    def test_listed_feasible_thresholds_are_a_set(self):
+        votes, agents = adc_instance().votes, adc_instance().agents
+        listed = AdcInstance(votes, agents, [2, 2, 3])
+        frozen = AdcInstance(votes, agents, frozenset({2, 3}))
+        assert listed == frozen and hash(listed) == hash(frozen)
+        assert type(listed.feasible_thresholds) is frozenset
+        assert listed.feasible_rules() == frozen.feasible_rules() == [3, 2]
+
+    def test_listed_generic_fields_are_stored_frozen(self):
+        rules = [RuleRef("r1", "A"), RuleRef("r2", "B")]
+        listed = GenericInstance(["A", "B"], rules, ["A"], ["r1", "r1"], [spec(Y={"A"})])
+        frozen = GenericInstance(
+            ("A", "B"), tuple(rules), frozenset({"A"}), frozenset({"r1"}), (spec(Y={"A"}),)
+        )
+        assert listed == frozen and hash(listed) == hash(frozen)
+        assert type(listed.outcomes) is type(listed.rules) is type(listed.agents) is tuple
+        assert type(listed.feasible_outcomes) is type(listed.feasible_rule_ids) is frozenset
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("feasible_outcomes", [["A"]], "^feasible outcomes must be hashable$"),
+            ("feasible_rule_ids", [["r1"]], "^feasible rules must be hashable$"),
+            ("outcomes", [["A"], "B"], "^outcome ids must be hashable$"),
+            ("rules", [RuleRef(["r1"], "A")], "^rule ids must be hashable$"),
+            ("rules", [RuleRef("r1", ["A"])], r"^rule 'r1' selects unknown outcome \['A'\]$"),
+        ],
+    )
+    def test_unhashable_generic_element_is_a_validation_error(self, field, value, message):
+        fields = dict(
+            outcomes=("A", "B"),
+            rules=(RuleRef("r1", "A"),),
+            feasible_outcomes=frozenset({"A"}),
+            feasible_rule_ids=frozenset({"r1"}),
+            agents=(spec(),),
+        )
+        with pytest.raises(ValidationError, match=message):
+            GenericInstance(**{**fields, field: value})
+
+    @pytest.mark.parametrize("feasible", [[[2]], [{2}], [2, 2.0], [2, True], []])
+    def test_bad_listed_feasible_threshold_is_a_validation_error(self, feasible):
+        votes, agents = adc_instance().votes, adc_instance().agents
+        with pytest.raises(ValidationError, match="^feasible thresholds must be a nonempty"):
+            AdcInstance(votes, agents, feasible)
+
+
 class TestAccepts:
     def setup_method(self):
         self.inst = make_instance([spec()])
