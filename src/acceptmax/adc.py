@@ -108,8 +108,11 @@ class AdcInstance(FrozenValue):
         outcome_universe = frozenset(OUTCOMES)
         loose = []
         for idx, (thresholds, outcomes, _, indifferent) in enumerate(self.agents):
-            if not outcome_universe.issuperset(outcomes):
-                raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
+            try:
+                if not outcome_universe.issuperset(outcomes):
+                    raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
+            except TypeError:
+                raise ValidationError(f"agent {idx} outcomes must be hashable") from None
             for t in thresholds:
                 if type(t) is not int or not 1 <= t <= n:
                     raise ValidationError(

@@ -1,14 +1,14 @@
 """Worst-case acceptance rates over classes of binary-choice instances.
 
-An instance class pairs a (homogeneous) agent type with a structural
-assumption on the agents' satisfying sets, such as "each agent finds at
-least one feasible rule acceptable". ``CLASSES`` holds one row per class:
-its id, its agent kind and its threshold rank (below); whether the class
-takes a ``k`` follows from the rank. ``check_class`` is the one check of a
-class id, electorate size and ``k``. The worst case is the minimum, over
-every instance in the class, of the best achievable acceptance count, as
-an exact rational of the electorate size. The search is exact at every
-electorate size.
+An instance class pairs agent types with a structural assumption on the
+agents' satisfying sets, such as "each agent finds at least one feasible
+rule acceptable". ``CLASSES`` holds one row per class: its id, the names of
+its agent types in ``core.AGENT_TYPES`` and its threshold rank (below);
+whether the class takes a ``k`` follows from the rank. ``check_class`` is
+the one check of a class id, electorate size and ``k``. The worst case is
+the minimum, over every instance in the class, of the best achievable
+acceptance count, as an exact rational of the electorate size. The search
+is exact at every electorate size.
 
 Assumptions that reference acceptable outcomes are read against the
 outcomes some feasible rule actually selects on the profile at hand
@@ -57,6 +57,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .adc import (
+    OUTCOMES,
     PROPOSAL,
     STATUS_QUO,
     AdcAgent,
@@ -64,19 +65,20 @@ from .adc import (
     threshold_family,
     threshold_outcomes,
 )
-from .core import ValidationError, substitute_absolute_disjunctivist
+from .core import AGENT_TYPES, ValidationError, substitute_absolute_disjunctivist
 
 
 class InstanceClass(NamedTuple):
-    """One verifiable row: an agent kind plus a per-agent assumption.
+    """One verifiable row: the agent types allowed plus a per-agent assumption.
 
-    ``rank`` is the most thresholds an inclusion-minimal option of an
-    absolute agent names (see the module docstring); ii and conseq options
-    never read it. None means the class takes a ``k``, which is its rank.
+    ``agent_types`` names rows of ``core.AGENT_TYPES``. ``rank`` is the most
+    thresholds an inclusion-minimal option of an absolute agent names (see
+    the module docstring); other options never read it. None means the
+    class takes a ``k``, which is its rank.
     """
 
     id: str
-    agent_kind: str  # any | conseq | abs_disj | abs_conj | ii_disj | ii_conj
+    agent_types: tuple
     rank: int | None = 0
 
     @property
@@ -84,22 +86,25 @@ class InstanceClass(NamedTuple):
         return self.rank is None
 
 
+_ABS_DISJ, _ABS_CONJ = ("absolute_disjunctivist",), ("absolute_conjunctivist",)
+_II_DISJ, _II_CONJ, _CONSEQ = ("ii_disjunctivist",), ("ii_conjunctivist",), ("consequentialist",)
+
 CLASSES = {
     c.id: c
     for c in (
-        InstanceClass("any-none", "any"),
-        InstanceClass("abs-conj-consistent", "abs_conj", rank=1),
-        InstanceClass("abs-conj-realizable", "abs_conj", rank=1),
-        InstanceClass("abs-disj-r1", "abs_disj", rank=1),
-        InstanceClass("abs-disj-k", "abs_disj", rank=None),
-        InstanceClass("abs-disj-y1", "abs_disj"),
-        InstanceClass("ii-conj-realizable", "ii_conj"),
-        InstanceClass("ii-disj-r1", "ii_disj"),
-        InstanceClass("ii-disj-y1", "ii_disj"),
-        InstanceClass("ii-disj-last", "ii_disj"),
+        InstanceClass("any-none", _ABS_DISJ + _ABS_CONJ + _II_DISJ + _II_CONJ),
+        InstanceClass("abs-conj-consistent", _ABS_CONJ, rank=1),
+        InstanceClass("abs-conj-realizable", _ABS_CONJ, rank=1),
+        InstanceClass("abs-disj-r1", _ABS_DISJ, rank=1),
+        InstanceClass("abs-disj-k", _ABS_DISJ, rank=None),
+        InstanceClass("abs-disj-y1", _ABS_DISJ),
+        InstanceClass("ii-conj-realizable", _II_CONJ),
+        InstanceClass("ii-disj-r1", _II_DISJ),
+        InstanceClass("ii-disj-y1", _II_DISJ),
+        InstanceClass("ii-disj-last", _II_DISJ),
         # Not table rows proper, but verified the same way.
-        InstanceClass("conseq-y1", "conseq"),
-        InstanceClass("conseq-consistent", "conseq"),
+        InstanceClass("conseq-y1", _CONSEQ),
+        InstanceClass("conseq-consistent", _CONSEQ),
     )
 }
 
@@ -161,19 +166,14 @@ def table1_formula(class_id: str, n: int, k: int | None = None) -> Fraction:
 # ---------------------------------------------------------------------------
 # Per-agent option spaces and class predicates.
 
-_Y_SUBSETS = (
-    frozenset(),
-    frozenset({PROPOSAL}),
-    frozenset({STATUS_QUO}),
-    frozenset({PROPOSAL, STATUS_QUO}),
-)
+
+def _subsets(items, rank: int | None = None) -> list:
+    """Subsets of ``items`` by size, then in ``items`` order; at most ``rank`` long."""
+    sizes = range(len(items) + 1 if rank is None else rank + 1)
+    return [frozenset(c) for size in sizes for c in itertools.combinations(items, size)]
 
 
-def _family_subsets(n: int, rank: int | None = None):
-    """Subsets of the threshold family by size, then lexicographically; at most ``rank`` long."""
-    family = sorted(threshold_family(n))
-    for size in range(len(family) + 1 if rank is None else rank + 1):
-        yield from (frozenset(c) for c in itertools.combinations(family, size))
+_Y_SUBSETS = _subsets(OUTCOMES)  # {}, {p}, {r}, {p, r}
 
 
 def _ii_threshold_reps(n: int, votes_p: int):
@@ -204,7 +204,7 @@ def class_predicate(
     """Whether one agent's satisfying set meets the class assumption at one profile.
 
     The caller builds the profile's ``outcome_of`` and ``_realizable`` once.
-    Every threshold an absolute agent names is feasible: ``_family_subsets``
+    Every threshold an absolute agent names is feasible: ``_type_options``
     lists no other, and ``AdcInstance`` rejects any other for an agent that
     is not implementation-indifferent.
     """
@@ -235,29 +235,22 @@ def class_predicate(
     raise ValidationError(f"unknown class {class_id!r}")
 
 
-def _kind_options(agent_kind: str, n: int, votes_p: int, rank: int | None = None):
-    """Unfiltered (type-consistent) agent options, empty sets first.
+def _type_options(agent_types, n: int, votes_p: int, rank: int | None = None) -> list:
+    """Unfiltered agent options of each named type in turn, empty sets first.
 
-    Absolute agents name at most ``rank`` thresholds (any number when None).
+    Absolute agents name at most ``rank`` thresholds (any number when None),
+    ii agents one set per realized-outcome class. A set the type may not fill
+    is empty.
     """
-    if agent_kind == "conseq":
-        return [AdcAgent(frozenset(), y, False, True) for y in _Y_SUBSETS]
-    if agent_kind in ("abs_disj", "abs_conj"):
-        conj = agent_kind == "abs_conj"
-        return [
-            AdcAgent(r, y, conj, False) for r in _family_subsets(n, rank) for y in _Y_SUBSETS
-        ]
-    if agent_kind in ("ii_disj", "ii_conj"):
-        conj = agent_kind == "ii_conj"
-        return [
-            AdcAgent(r, y, conj, True) for r in _ii_threshold_reps(n, votes_p) for y in _Y_SUBSETS
-        ]
-    if agent_kind == "any":
-        opts = []
-        for kind in ("abs_disj", "abs_conj", "ii_disj", "ii_conj"):
-            opts.extend(_kind_options(kind, n, votes_p, rank))
-        return opts
-    raise ValidationError(f"unknown agent kind {agent_kind!r}")
+    options, family = [], threshold_family(n)
+    for name in agent_types:
+        conj, ii, names_rules, names_outcomes = AGENT_TYPES[name]
+        rule_sets = [frozenset()]
+        if names_rules:
+            rule_sets = _ii_threshold_reps(n, votes_p) if ii else _subsets(family, rank)
+        outcome_sets = _Y_SUBSETS if names_outcomes else _Y_SUBSETS[:1]
+        options += [AdcAgent(r, y, conj, ii) for r in rule_sets for y in outcome_sets]
+    return options
 
 
 def class_options(class_id: str, n: int, votes_p: int, k: int | None, rank: int | None = None):
@@ -269,7 +262,7 @@ def class_options(class_id: str, n: int, votes_p: int, k: int | None, rank: int 
     """
     outcome_of = threshold_outcomes(n, votes_p)
     realizable = _realizable(outcome_of)
-    options = _kind_options(CLASSES[class_id].agent_kind, n, votes_p, rank)
+    options = _type_options(CLASSES[class_id].agent_types, n, votes_p, rank)
     return outcome_of, [
         [a for a in options if class_predicate(class_id, a, vote, outcome_of, realizable, k)]
         for vote in (PROPOSAL, STATUS_QUO)

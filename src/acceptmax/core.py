@@ -106,14 +106,39 @@ class SatisfyingSpec(NamedTuple):
     ``implementation_indifferent`` means the rule concern is evaluated
     counterfactually: "some acceptable rule would have produced this
     outcome" rather than "the implemented rule is acceptable".
-    Consequentialists are disjunctive agents with empty ``rule_ids``;
-    proceduralists are disjunctive agents with empty ``outcomes``.
+    ``AGENT_TYPES`` names the seven types by these flags and by which sets
+    they may fill: consequentialists name no rules, proceduralists no outcomes.
     """
 
     rule_ids: frozenset
     outcomes: frozenset
     conjunctive: bool = False
     implementation_indifferent: bool = False
+
+
+AGENT_TYPES = {
+    # name -> (conjunctive, implementation_indifferent, names_rules, names_outcomes)
+    "consequentialist": (False, True, False, True),
+    "absolute_proceduralist": (False, False, True, False),
+    "ii_proceduralist": (False, True, True, False),
+    "absolute_disjunctivist": (False, False, True, True),
+    "absolute_conjunctivist": (True, False, True, True),
+    "ii_disjunctivist": (False, True, True, True),
+    "ii_conjunctivist": (True, True, True, True),
+}
+
+# Keyed (conjunctive, ii, has rules, has outcomes); built bottom up so the first fitting row wins.
+_TYPE_NAMES = {
+    (conj, ii, has_rules, has_outcomes): name
+    for name, (conj, ii, names_rules, names_outcomes) in reversed(AGENT_TYPES.items())
+    for has_rules in {False, names_rules} for has_outcomes in {False, names_outcomes}
+}
+
+
+def agent_type_name(agent) -> str:
+    """The first type in table order with the agent's flags whose allowed sets cover its sets."""
+    rules, outcomes, conjunctive, indifferent = agent
+    return _TYPE_NAMES[conjunctive, indifferent, bool(rules), bool(outcomes)]
 
 
 def _frozen(values, what: str) -> frozenset:
@@ -192,10 +217,13 @@ class GenericInstance(FrozenValue):
             raise ValidationError("instance has no agents")
         loose = []
         for idx, (rule_ids, outcomes, _, _) in enumerate(self.agents):
-            if not rule_universe.issuperset(rule_ids):
-                raise ValidationError(f"agent {idx} references unknown rule ids")
-            if not outcome_universe.issuperset(outcomes):
-                raise ValidationError(f"agent {idx} references unknown outcomes")
+            try:
+                if not rule_universe.issuperset(rule_ids):
+                    raise ValidationError(f"agent {idx} references unknown rule ids")
+                if not outcome_universe.issuperset(outcomes):
+                    raise ValidationError(f"agent {idx} references unknown outcomes")
+            except TypeError:
+                raise ValidationError(f"agent {idx} sets must be hashable") from None
             if type(rule_ids) is not frozenset or type(outcomes) is not frozenset:
                 loose.append(idx)
         if loose:

@@ -18,21 +18,6 @@ class ParseError(ValueError):
     """Input file or payload cannot be turned into a valid instance."""
 
 
-AGENT_TYPES = {
-    # name -> (conjunctive, implementation_indifferent)
-    "consequentialist": (False, True),
-    "absolute_proceduralist": (False, False),
-    "ii_proceduralist": (False, True),
-    "absolute_disjunctivist": (False, False),
-    "absolute_conjunctivist": (True, False),
-    "ii_disjunctivist": (False, True),
-    "ii_conjunctivist": (True, True),
-}
-
-_EMPTY_RULES = ("consequentialist",)
-_EMPTY_OUTCOMES = ("absolute_proceduralist", "ii_proceduralist")
-
-
 # Type checks are inline ``isinstance`` tests that call these only to build
 # the error: fields are read once per agent, so one more call per field is a
 # measurable share of parsing a large electorate. For the same reason an
@@ -108,7 +93,7 @@ def _int_field(obj, key, where) -> int:
 
 
 def _agent_head(obj, i, *keys):
-    """Agent ``i``'s type name, its flags and the values of ``keys``, each failure located.
+    """Agent ``i``'s type name, its ``core.AGENT_TYPES`` row and the values of ``keys``.
 
     The parsers read these fields directly and call this only when that read
     fails, so the location string is built only for a bad agent. The checks
@@ -119,10 +104,10 @@ def _agent_head(obj, i, *keys):
         raise _not_object(obj, where)
     type_name = _field(obj, "type", where)
     try:
-        flags = AGENT_TYPES[type_name]
+        row = core.AGENT_TYPES[type_name]
     except (KeyError, TypeError):
         raise ParseError(f"{where}: unknown agent type {type_name!r}") from None
-    return type_name, flags, [_field(obj, key, where) for key in keys]
+    return type_name, row, [_field(obj, key, where) for key in keys]
 
 
 def fraction_to_dict(value: Fraction) -> dict:
@@ -155,10 +140,10 @@ def fraction_from_obj(obj, where) -> Fraction:
 def _parse_adc_agent(obj, i, n):
     try:
         type_name = obj["type"]
-        conj, ii = AGENT_TYPES[type_name]
+        conj, ii, names_rules, names_outcomes = core.AGENT_TYPES[type_name]
         outcomes = obj["Y"]
     except (KeyError, TypeError):
-        type_name, (conj, ii), (outcomes,) = _agent_head(obj, i, "Y")
+        type_name, (conj, ii, names_rules, names_outcomes), (outcomes,) = _agent_head(obj, i, "Y")
     r_t, r_delta = obj.get("R_t", _ABSENT), obj.get("R_delta", _ABSENT)
     if not (isinstance(outcomes, list) and isinstance(r_t, list) and isinstance(r_delta, list)):
         raise _not_list(f"agents[{i}]", Y=outcomes, R_t=r_t, R_delta=r_delta)
@@ -166,15 +151,18 @@ def _parse_adc_agent(obj, i, n):
         outcomes, thresholds = frozenset(outcomes), frozenset(r_t)
     except TypeError:
         raise _unhashable(f"agents[{i}]", Y=outcomes, R_t=r_t) from None
+    if len(thresholds) < len(r_t) and not all(type(t) is int for t in r_t):
+        # An int absorbed an equal float or bool, which AdcInstance would reject alone.
+        raise ParseError(f"adc instance: agent {i} thresholds must be integers in [1, {n}]")
     if r_delta:
         where = f"agents[{i}]"
         try:
             thresholds |= {adc.threshold_of(fraction_from_obj(d, where), n) for d in r_delta}
         except core.ValidationError as exc:
             raise ParseError(f"{where}: {exc}") from None
-    if type_name in _EMPTY_RULES and thresholds:
+    if thresholds and not names_rules:
         raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
-    if type_name in _EMPTY_OUTCOMES and outcomes:
+    if outcomes and not names_outcomes:
         raise ParseError(f"agents[{i}]: type {type_name!r} must have no outcome set")
     return _record(adc.AdcAgent, (thresholds, outcomes, conj, ii))
 
@@ -189,6 +177,9 @@ def parse_adc(obj) -> adc.AdcInstance:
     agents = _list_field(obj, "agents", "adc instance")
     agents = tuple(map(_parse_adc_agent, agents, range(len(agents)), repeat(n)))
     feasible = _set_field(obj, "feasible_t", "adc instance", None)
+    if feasible is not None and len(feasible) < len(obj["feasible_t"]):
+        # An int absorbs an equal float or bool: AdcInstance checks each listed element.
+        feasible = obj["feasible_t"]
     try:
         return adc.AdcInstance(votes=votes, agents=agents, feasible_thresholds=feasible)
     except core.ValidationError as exc:
@@ -209,9 +200,9 @@ def parse_generic(obj) -> core.GenericInstance:
     for i, a in enumerate(_list_field(obj, "agents", "generic instance")):
         try:
             type_name = a["type"]
-            conj, ii = AGENT_TYPES[type_name]
+            conj, ii, names_rules, names_outcomes = core.AGENT_TYPES[type_name]
         except (KeyError, TypeError):
-            type_name, (conj, ii), _ = _agent_head(a, i)
+            type_name, (conj, ii, names_rules, names_outcomes), _ = _agent_head(a, i)
         rule_ids, outcomes = a.get("R", _ABSENT), a.get("Y", _ABSENT)
         if not (isinstance(rule_ids, list) and isinstance(outcomes, list)):
             raise _not_list(f"agents[{i}]", R=rule_ids, Y=outcomes)
@@ -219,9 +210,9 @@ def parse_generic(obj) -> core.GenericInstance:
             rule_ids, outcomes = frozenset(rule_ids), frozenset(outcomes)
         except TypeError:
             raise _unhashable(f"agents[{i}]", R=rule_ids, Y=outcomes) from None
-        if type_name in _EMPTY_RULES and rule_ids:
+        if rule_ids and not names_rules:
             raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
-        if type_name in _EMPTY_OUTCOMES and outcomes:
+        if outcomes and not names_outcomes:
             raise ParseError(f"agents[{i}]: type {type_name!r} must have no outcome set")
         agents.append(_record(core.SatisfyingSpec, (rule_ids, outcomes, conj, ii)))
     outcomes = _list_field(obj, "outcomes", "generic instance")
@@ -292,15 +283,6 @@ def load_instance(path):
 # Serialization back to JSON payloads.
 
 
-def _agent_type_name(conjunctive, implementation_indifferent, has_rules, has_outcomes):
-    if not conjunctive and not has_rules:
-        return "consequentialist"
-    if not conjunctive and not has_outcomes:
-        return "ii_proceduralist" if implementation_indifferent else "absolute_proceduralist"
-    stem = "conjunctivist" if conjunctive else "disjunctivist"
-    return ("ii_" if implementation_indifferent else "absolute_") + stem
-
-
 def adc_instance_to_dict(instance: adc.AdcInstance) -> dict:
     return {
         "kind": "adc",
@@ -309,12 +291,7 @@ def adc_instance_to_dict(instance: adc.AdcInstance) -> dict:
         "feasible_t": sorted(instance.feasible_thresholds),
         "agents": [
             {
-                "type": _agent_type_name(
-                    a.conjunctive,
-                    a.implementation_indifferent,
-                    bool(a.thresholds),
-                    bool(a.outcomes),
-                ),
+                "type": core.agent_type_name(a),
                 "Y": sorted(a.outcomes),
                 "R_t": sorted(a.thresholds),
             }
@@ -402,15 +379,13 @@ def one_step_to_dict(report, instance) -> dict:
 
 
 def bounds_report_to_dict(report) -> dict:
-    def rate(f):
-        return None if f is None else fraction_to_dict(f)
-
+    observed = report.observed_min_rate
     return {
         "class": report.class_id,
         "n": report.n,
         "k": report.k,
-        "observed_min_rate": rate(report.observed_min_rate),
-        "formula_rate": rate(report.formula_rate),
+        "observed_min_rate": None if observed is None else fraction_to_dict(observed),
+        "formula_rate": fraction_to_dict(report.formula_rate),
         "witness": None if report.witness is None else adc_instance_to_dict(report.witness),
         "match": report.match,
         "options": report.options,

@@ -32,7 +32,7 @@ from acceptmax.amendment import (
     check_universal_acceptance,
     h_threshold,
 )
-from acceptmax.bounds import _kind_options, worst_case_rate
+from acceptmax.bounds import _type_options, worst_case_rate
 from acceptmax.core import (
     accepts,
     max_accept,
@@ -73,10 +73,16 @@ def report_line(capsys):
 def test_criterion_1_oracle_equivalence(report_line):
     checked = 0
     mismatches = 0
-    for kind in ("conseq", "abs_disj", "abs_conj", "ii_disj", "ii_conj"):
+    for name in (
+        "consequentialist",
+        "absolute_disjunctivist",
+        "absolute_conjunctivist",
+        "ii_disjunctivist",
+        "ii_conjunctivist",
+    ):
         for n in (2, 3, 4):
-            def options_for(votes_p, vote, kind=kind, n=n):
-                return _kind_options(kind, n, votes_p)
+            def options_for(votes_p, vote, name=name, n=n):
+                return _type_options((name,), n, votes_p)
 
             for inst in homogeneous_suite(n, options_for):
                 oracle = oracle_max_accept(adc_to_generic(inst)).report
@@ -85,7 +91,7 @@ def test_criterion_1_oracle_equivalence(report_line):
     report_line(
         mismatches == 0,
         "criterion 1 (mechanism = oracle)",
-        f"{checked} exhaustive instances over 5 agent kinds, n in 2..4, "
+        f"{checked} exhaustive instances over 5 agent types, n in 2..4, "
         f"{mismatches} report mismatches",
     )
 
@@ -165,8 +171,7 @@ def test_criterion_4_ii_floor(report_line):
             decisions = adc_decisions(votes_p, feasible)
             options = [
                 a
-                for a in _kind_options("ii_disj", n, votes_p)
-                + _kind_options("ii_conj", n, votes_p)
+                for a in _type_options(("ii_disjunctivist", "ii_conjunctivist"), n, votes_p)
                 if any(adc_accepts(a, t, y, votes_p) for t, y in decisions)
             ]
             bits = {

@@ -31,7 +31,7 @@ from acceptmax.bounds import (
     table1_formula,
     worst_case_rate,
 )
-from acceptmax.core import ValidationError, max_accept, oracle_max_accept
+from acceptmax.core import AGENT_TYPES, ValidationError, max_accept, oracle_max_accept
 from acceptmax.serialize import bounds_report_to_dict, dumps
 
 from conftest import (
@@ -125,18 +125,18 @@ class TestEnumeration:
             assert seen > 0
 
 
-def full_kind_options(agent_kind, n):
-    """Agent options without the representative-set reduction."""
-    y_subsets = [frozenset(c) for size in range(3)
-                 for c in itertools.combinations(OUTCOMES, size)]
-    if agent_kind == "conseq":
-        return [AdcAgent(frozenset(), y, False, True) for y in y_subsets]
-    conj = agent_kind.endswith("conj")
-    ii = agent_kind.startswith("ii")
-    pool = range(1, n + 1) if ii else threshold_family(n)
-    r_subsets = [frozenset(c) for size in range(len(pool) + 1)
-                 for c in itertools.combinations(pool, size)]
-    return [AdcAgent(r, y, conj, ii) for r in r_subsets for y in y_subsets]
+def full_type_options(agent_types, n):
+    """Agent options of each named type without the representative-set reduction."""
+    options = []
+    for name in agent_types:
+        conj, ii, names_rules, names_outcomes = AGENT_TYPES[name]
+        pool = range(1, n + 1) if ii else threshold_family(n)
+        r_subsets = [frozenset(c) for size in range(len(pool) + 1 if names_rules else 1)
+                     for c in itertools.combinations(pool, size)]
+        y_subsets = [frozenset(c) for size in range(3 if names_outcomes else 1)
+                     for c in itertools.combinations(OUTCOMES, size)]
+        options += [AdcAgent(r, y, conj, ii) for r in r_subsets for y in y_subsets]
+    return options
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -147,8 +147,8 @@ def test_decision_bits_match_threshold_reference(n):
     for votes_p in range(n + 1):
         decisions = adc_decisions(votes_p, feasible)
         outcome_of = threshold_outcomes(n, votes_p)
-        for kind in ("conseq", "abs_disj", "abs_conj", "ii_disj", "ii_conj"):
-            for a in full_kind_options(kind, n):
+        for name in AGENT_TYPES:
+            for a in full_type_options((name,), n):
                 expected = tuple(int(adc_accepts(a, t, y, votes_p)) for t, y in decisions)
                 assert _decision_bits(a, decisions, outcome_of) == expected
 
@@ -180,14 +180,13 @@ def test_rank_cap_keeps_the_full_listings_options(n):
 
 def full_space_min(class_id, n, k=None):
     """Unreduced exhaustive minimum of the best acceptance count."""
-    kind = CLASSES[class_id].agent_kind
     best = None
     for votes in itertools.product(OUTCOMES, repeat=n):
         votes_p = sum(1 for v in votes if v == PROPOSAL)
         outcome_of = threshold_outcomes(n, votes_p)
         realizable = _realizable(outcome_of)
         per_agent = [
-            [a for a in full_kind_options(kind, n)
+            [a for a in full_type_options(CLASSES[class_id].agent_types, n)
              if class_predicate(class_id, a, v, outcome_of, realizable, k)]
             for v in votes
         ]
@@ -278,7 +277,9 @@ class TestExhaustive:
         # rates, match, the search counters and the witness the multiset
         # product found. The second digest leaves out `options`, which the
         # rank cap changed; it was recorded over the full listing, so the
-        # cap moved no rate, witness, `kept` or `nodes`.
+        # cap moved no rate, witness, `kept` or `nodes`. Both were recorded
+        # again when rule-less absolute agents got their own type names, a
+        # change that moved no other field.
         digest, without_options = hashlib.sha256(), hashlib.sha256()
         for class_id in sorted(CLASSES):
             k = 2 if CLASSES[class_id].needs_k else None
@@ -288,10 +289,10 @@ class TestExhaustive:
                 del row["options"]
                 without_options.update(dumps(row).encode() + b"\n")
         assert without_options.hexdigest() == (
-            "b97968f907e3a3f29ac010a84e2780ec9253ccf409934bc727f591b6bd944e01"
+            "bf869e87f24d0ff91253855952b554e18973aaf3ff468260898c26161db0871b"
         )
         assert digest.hexdigest() == (
-            "9e7250fbcabbe2e418d4e417ac08ca59cba9e6e494381e231cd0b64a94bf9f96"
+            "50995c9016c6f66c9023b6acd557251d4b059e36ba22c2e3b3872544b8539725"
         )
 
 

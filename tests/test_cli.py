@@ -423,7 +423,7 @@ class TestGen:
             assert code == 0
             digest.update(json.dumps([argv, code, out]).encode() + b"\n")
         assert digest.hexdigest() == (
-            "ba0a9992c4ae3bcea307874c1380b3c42e657551a185a42d61bb4321f81a8dd6"
+            "5cb3d628827eab888e20195bcfcf0ed2762b305be860fd1a135ac7876d5f1c12"
         )
 
 
@@ -432,6 +432,32 @@ class TestSerializeRoundTrip:
         inst = serialize.parse_instance(ADC_II_DISJ)
         again = serialize.parse_instance(serialize.adc_instance_to_dict(inst))
         assert inst == again
+
+    def test_witnesses_and_generated_instances_read_back_equal(self):
+        # A written agent is named by its flags and sets, so it reads back
+        # with the same flags: a rule-less absolute agent must not come back
+        # implementation-indifferent.
+        instances = []
+        for class_id, row in sorted(cli.bounds.CLASSES.items()):
+            k = 2 if row.needs_k else None
+            instances += [cli.bounds.worst_case_rate(class_id, n, k).witness for n in range(3, 8)]
+            for n in range(2, 6):
+                if cli.bounds.has_instance(class_id, n, k):
+                    instances += [cli._gen_adc(class_id, n, random.Random(s), k) for s in range(3)]
+        for inst in instances:
+            assert serialize.parse_instance(serialize.adc_instance_to_dict(inst)) == inst
+
+    @pytest.mark.parametrize("type_name", list(core.AGENT_TYPES))
+    def test_type_name_survives_a_record(self, type_name):
+        _, _, names_rules, names_outcomes = core.AGENT_TYPES[type_name]
+        agent = {
+            "type": type_name,
+            "Y": ["p"] if names_outcomes else [],
+            "R_t": [2] if names_rules else [],
+        }
+        payload = {"kind": "adc", "n": 3, "votes": "ppr", "agents": [agent] * 3}
+        for record in serialize.parse_instance(payload).agents:
+            assert core.agent_type_name(record) == type_name
 
     def test_amendment_round_trip(self):
         inst = serialize.parse_instance(AMENDMENT)
@@ -453,12 +479,10 @@ class TestSerializeRoundTrip:
         with pytest.raises(serialize.ParseError):
             serialize.parse_instance({"kind": "mystery"})
 
-    @pytest.mark.parametrize("type_name", sorted(serialize.AGENT_TYPES))
+    @pytest.mark.parametrize("type_name", sorted(core.AGENT_TYPES))
     def test_parsed_records_equal_constructed_ones(self, type_name):
         # The parsers build records with tuple.__new__: same type, same value.
-        conj, ii = serialize.AGENT_TYPES[type_name]
-        rules = type_name != "consequentialist"
-        outcomes = type_name not in ("absolute_proceduralist", "ii_proceduralist")
+        conj, ii, rules, outcomes = core.AGENT_TYPES[type_name]
         # 'R_t', 'R' and generic 'Y' are left out when empty: absent lists read as empty.
         agent_obj = {"type": type_name, "Y": ["p"] if outcomes else []}
         if rules:
@@ -492,9 +516,7 @@ def _generic_instance_to_dict(instance):
         "feasible_rules": sorted(instance.feasible_rule_ids),
         "agents": [
             {
-                "type": serialize._agent_type_name(
-                    a.conjunctive, a.implementation_indifferent, bool(a.rule_ids), bool(a.outcomes)
-                ),
+                "type": core.agent_type_name(a),
                 "R": sorted(a.rule_ids),
                 "Y": sorted(a.outcomes),
             }
@@ -535,7 +557,7 @@ def test_solve_stdout_digest_is_stable(capsys, tmp_path):
     # accepted_by list, a tally or the number formatting changes it.
     corpus = _digest_corpus()
     types = {a["type"] for _, payload in corpus for a in payload["agents"]}
-    assert types == set(serialize.AGENT_TYPES)
+    assert types == set(core.AGENT_TYPES)
     digest = hashlib.sha256()
     for name, payload in corpus:
         path = tmp_path / f"{name}.json"
@@ -681,6 +703,14 @@ MALFORMED = {
         _with_agent(ADC_II_DISJ, 1, R_delta=["1e-999999999"]),
         "'1e-999999999' is not a rational",
     ),
+    "R_delta null": (
+        _with_agent(ADC_II_DISJ, 0, R_delta=[None]),
+        _error_line("agents[0]: expected a rational"),
+    ),
+    "R_delta float": (
+        _with_agent(ADC_II_DISJ, 0, R_delta=[0.5]),
+        _error_line("agents[0]: expected a rational"),
+    ),
     "adc Y nested": (_with_agent(ADC_II_DISJ, 0, Y=[["p"]]), "field 'Y' holds a list"),
     # An earlier agent holds the equal int, so the union of all threshold sets
     # has only ints: the element types must be checked one by one.
@@ -691,6 +721,27 @@ MALFORMED = {
     "R_t float after equal int": (
         _with_agent(_with_agent(ADC_II_DISJ, 0, R_t=[2]), 1, R_t=[2.0]),
         _error_line("adc instance: agent 1 thresholds must be integers in [1, 3]"),
+    ),
+    # Within one list the int absorbs an equal float or bool, in either order.
+    "R_t int then equal float": (
+        _with_agent(ADC_II_DISJ, 0, R_t=[2, 2.0]),
+        _error_line("adc instance: agent 0 thresholds must be integers in [1, 3]"),
+    ),
+    "R_t float then equal int": (
+        _with_agent(ADC_II_DISJ, 0, R_t=[2.0, 2]),
+        _error_line("adc instance: agent 0 thresholds must be integers in [1, 3]"),
+    ),
+    "R_t int then equal bool": (
+        _with_agent(ADC_II_DISJ, 0, R_t=[1, True]),
+        _error_line("adc instance: agent 0 thresholds must be integers in [1, 3]"),
+    ),
+    "feasible_t int then equal float": (
+        {**ADC_II_DISJ, "feasible_t": [2, 2.0, 3]},
+        _error_line("adc instance: feasible thresholds must be a nonempty family subset"),
+    ),
+    "feasible_t float then equal int": (
+        {**ADC_II_DISJ, "feasible_t": [2.0, 2, 3]},
+        _error_line("adc instance: feasible thresholds must be a nonempty family subset"),
     ),
     "adc type list": (_with_agent(ADC_II_DISJ, 0, type=["x"]), "unknown agent type"),
     "adc n string": ({**ADC_II_DISJ, "n": "3"}, "field 'n' must be an integer"),
@@ -707,6 +758,14 @@ MALFORMED = {
     "generic feasible nested": (
         {**GENERIC, "feasible_rules": [["r1"]]},
         "'feasible_rules' holds a list",
+    ),
+    "generic feasible outcome unknown": (
+        {**GENERIC, "feasible_outcomes": ["Z"]},
+        _error_line("generic instance: feasible outcomes outside the outcome universe"),
+    ),
+    "generic no agents": (
+        {**GENERIC, "agents": []},
+        _error_line("generic instance: instance has no agents"),
     ),
     "adc agent missing type": (
         _without_field(ADC_II_DISJ, 2, "type"),

@@ -286,6 +286,8 @@ class TestStoredFields:
             ("outcomes", [["A"], "B"], "^outcome ids must be hashable$"),
             ("rules", [RuleRef(["r1"], "A")], "^rule ids must be hashable$"),
             ("rules", [RuleRef("r1", ["A"])], r"^rule 'r1' selects unknown outcome \['A'\]$"),
+            ("agents", [SatisfyingSpec(frozenset(), [["A"]])], "^agent 0 sets must be hashable$"),
+            ("agents", [SatisfyingSpec([["r1"]], frozenset())], "^agent 0 sets must be hashable$"),
         ],
     )
     def test_unhashable_generic_element_is_a_validation_error(self, field, value, message):
@@ -304,6 +306,10 @@ class TestStoredFields:
         votes, agents = adc_instance().votes, adc_instance().agents
         with pytest.raises(ValidationError, match="^feasible thresholds must be a nonempty"):
             AdcInstance(votes, agents, feasible)
+
+    def test_unhashable_adc_agent_outcome_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="^agent 0 outcomes must be hashable$"):
+            AdcInstance("ppr", (AdcAgent(frozenset(), [["p"]]),) * 3)
 
 
 class TestAccepts:
