@@ -95,10 +95,13 @@ class AdcInstance(FrozenValue):
         if not all(map(OUTCOMES.__contains__, self.votes)):
             raise ValidationError("votes must be 'r' or 'p'")
         family = frozenset(threshold_family(n))
-        # None means the full family. The elements are checked before freezing,
-        # since an int would absorb an equal float or bool.
-        feasible = family if feasible_thresholds is None else feasible_thresholds
-        if not feasible or any(type(t) is not int or t not in family for t in feasible):
+        # None means the full family, which needs no check. A caller's set is
+        # checked per element before freezing, since an int would absorb an
+        # equal float or bool.
+        feasible = feasible_thresholds
+        if feasible is None:
+            feasible = family
+        elif not feasible or any(type(t) is not int or t not in family for t in feasible):
             raise ValidationError("feasible thresholds must be a nonempty family subset")
         object.__setattr__(self, "feasible_thresholds", frozenset(feasible))
         if len(self.agents) != n:

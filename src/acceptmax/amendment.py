@@ -131,12 +131,20 @@ def h_threshold(peaks, n: int) -> int:
     """Largest threshold ``t`` with at least ``t - 1`` peaks at or above it.
 
     The simple majority threshold always qualifies, so the value exists.
+    One pass counts the peaks at each threshold (a peak past unanimity
+    counts at unanimity); the family is then scanned from unanimity down.
     """
-    best = majority_threshold(n)
-    for t in threshold_family(n):
-        if sum(1 for peak in peaks if peak >= t) >= t - 1:
-            best = t
-    return best
+    majority = majority_threshold(n)
+    at = [0] * (n + 1)
+    for peak in peaks:
+        if peak >= majority:
+            at[min(peak, n)] += 1
+    at_or_above = 0
+    for t in range(n, majority, -1):
+        at_or_above += at[t]
+        if at_or_above >= t - 1:
+            return t
+    return majority
 
 
 def _ballot(instance: AmendmentInstance, r: int, p: int) -> AmendmentStep:

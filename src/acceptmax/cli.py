@@ -6,6 +6,10 @@ closed by its reader (128 + SIGPIPE, as in ``acceptmax bounds all ... | head -1`
 ``main`` can be called any number of times in one process. The argument
 parser is built on the first call and reused after that: it holds no
 per-call state.
+
+Importing this module loads only ``core``, ``adc`` and ``serialize``, which
+``solve`` needs. ``amend`` loads ``amendment``, ``bounds`` loads ``bounds``,
+and ``gen`` loads both and ``random``, each on its first call.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ import argparse
 import functools
 import gc
 import os
-import random
 import sys
 
-from . import adc, amendment, bounds, core, serialize
+from . import adc, core, serialize
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -44,7 +47,7 @@ def cmd_solve(args) -> int:
     gc.disable()
     try:
         instance = serialize.load_instance(args.path)
-        if isinstance(instance, amendment.AmendmentInstance):
+        if not isinstance(instance, (adc.AdcInstance, core.GenericInstance)):
             raise serialize.ParseError("solve expects an adc or generic instance")
         if args.mechanism == "oracle":
             is_adc = isinstance(instance, adc.AdcInstance)
@@ -60,6 +63,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_amend(args) -> int:
+    from . import amendment
+
     instance = serialize.load_instance(args.path)
     if not isinstance(instance, amendment.AmendmentInstance):
         raise serialize.ParseError("amend expects an amendment instance")
@@ -72,6 +77,8 @@ def cmd_amend(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds
+
     class_ids = sorted(bounds.CLASSES) if args.class_id == "all" else [args.class_id]
     for class_id in class_ids:
         for n in args.n:
@@ -86,6 +93,8 @@ def cmd_bounds(args) -> int:
 
 
 def _gen_adc(class_id, n, rng, k):
+    from . import bounds
+
     for _attempt in range(10_000):
         votes = tuple(rng.choice(adc.OUTCOMES) for _ in range(n))
         # An agent's options depend only on its vote: list each vote's once.
@@ -98,6 +107,10 @@ def _gen_adc(class_id, n, rng, k):
 
 def cmd_gen(args) -> int:
     """``--count`` instances for each ``--n`` in the order given (n = 4 without one)."""
+    import random
+
+    from . import amendment, bounds
+
     rng = random.Random(args.seed)
     sizes = args.n or [4]
     if args.class_id == "amendment":

@@ -10,8 +10,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import repeat
+from typing import TYPE_CHECKING
 
-from . import adc, amendment, core
+from . import adc, core
+
+if TYPE_CHECKING:
+    # Imported where it is used at run time, so that loading an adc or
+    # generic instance does not load the amendment module.
+    from . import amendment
 
 
 class ParseError(ValueError):
@@ -235,6 +241,8 @@ def parse_generic(obj) -> core.GenericInstance:
 
 
 def parse_amendment(obj) -> amendment.AmendmentInstance:
+    from . import amendment
+
     n = _int_field(obj, "n", "amendment instance")
     peaks = _list_field(obj, "peaks_t", "amendment instance")
     if len(peaks) != n:
@@ -340,6 +348,8 @@ def oracle_result_to_dict(result: core.OracleResult, instance) -> dict:
 
 
 def trace_to_dict(trace: amendment.AmendmentTrace, instance) -> dict:
+    from . import amendment
+
     n = instance.n
     return {
         "steps": [

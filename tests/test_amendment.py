@@ -1,6 +1,7 @@
 """Threshold amendment: induced profiles, the stable point, iterative and one-step runs."""
 
 import itertools
+import random
 
 import pytest
 
@@ -79,6 +80,20 @@ class TestHThreshold:
                     if sum(1 for p in peaks if p >= t) >= t - 1
                 ]
                 assert h == max(qualifying)
+
+    def test_definition_on_random_large_peaks(self):
+        # Peaks range past the family on both sides: below majority they
+        # never count, past unanimity they count for every threshold.
+        rng = random.Random(0)
+        for _ in range(300):
+            n = rng.randint(2, 300)
+            peaks = [rng.randint(1, n + 2) for _ in range(n)]
+            qualifying = [
+                t
+                for t in threshold_family(n)
+                if sum(1 for p in peaks if p >= t) >= t - 1
+            ]
+            assert h_threshold(peaks, n) == max(qualifying, default=majority_threshold(n))
 
 
 class TestIterative:

@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acceptmax import adc, cli, core, serialize
+from acceptmax import adc, bounds, cli, core, serialize
 from acceptmax.adc import AdcInstance, adc_to_generic
 from acceptmax.amendment import AmendmentInstance, VotePolicy
 from acceptmax.core import max_accept
@@ -332,8 +332,8 @@ class TestGen:
         assert runs[0] == runs[1] and runs[0][0] == 0
 
     def test_generated_instances_validate_and_solve(self, capsys):
-        for class_id in sorted(cli.bounds.CLASSES):
-            k = ["--k", "1"] if cli.bounds.CLASSES[class_id].needs_k else []
+        for class_id in sorted(bounds.CLASSES):
+            k = ["--k", "1"] if bounds.CLASSES[class_id].needs_k else []
             code, out, _ = run_cli(
                 capsys, "gen", class_id, "--n", "5", "--seed", "3", "--count", "2", *k
             )
@@ -416,7 +416,7 @@ class TestGen:
         # and for amendment: `gen` samples from the full option listing, so a
         # change in that listing or its order changes the instances printed.
         digest = hashlib.sha256()
-        for class_id in sorted(cli.bounds.CLASSES) + ["amendment"]:
+        for class_id in sorted(bounds.CLASSES) + ["amendment"]:
             argv = ["gen", class_id, "--n", "5", "--n", "8", "--count", "3",
                     "--seed", "11", "--k", "2"]
             code, out, _ = run_cli(capsys, *argv)
@@ -438,11 +438,11 @@ class TestSerializeRoundTrip:
         # with the same flags: a rule-less absolute agent must not come back
         # implementation-indifferent.
         instances = []
-        for class_id, row in sorted(cli.bounds.CLASSES.items()):
+        for class_id, row in sorted(bounds.CLASSES.items()):
             k = 2 if row.needs_k else None
-            instances += [cli.bounds.worst_case_rate(class_id, n, k).witness for n in range(3, 8)]
+            instances += [bounds.worst_case_rate(class_id, n, k).witness for n in range(3, 8)]
             for n in range(2, 6):
-                if cli.bounds.has_instance(class_id, n, k):
+                if bounds.has_instance(class_id, n, k):
                     instances += [cli._gen_adc(class_id, n, random.Random(s), k) for s in range(3)]
         for inst in instances:
             assert serialize.parse_instance(serialize.adc_instance_to_dict(inst)) == inst
