@@ -89,7 +89,7 @@ class AdcInstance(FrozenValue):
 
     def __init__(self, votes: tuple, agents: tuple, feasible_thresholds: frozenset | None = None):
         self.__dict__.update(votes=tuple(votes), agents=tuple(agents))
-        n = len(self.votes)
+        n = self.__dict__["n"] = len(self.votes)
         if n == 0:
             raise ValidationError("instance has no votes")
         if not all(map(OUTCOMES.__contains__, self.votes)):
@@ -131,10 +131,6 @@ class AdcInstance(FrozenValue):
                 loose.append(idx)
         if loose:
             object.__setattr__(self, "agents", freeze_agents(self.agents, loose, AdcAgent))
-
-    @cached_property
-    def n(self) -> int:
-        return len(self.votes)
 
     @cached_property
     def votes_p(self) -> int:

@@ -15,7 +15,6 @@ there directly.
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from typing import NamedTuple
 
 from .adc import (
@@ -47,7 +46,7 @@ class AmendmentInstance(FrozenValue):
 
     def __init__(self, peaks: tuple, status_quo: int, vote_policy: VotePolicy = VotePolicy.NEARER):
         self.__dict__.update(peaks=tuple(peaks), status_quo=status_quo, vote_policy=vote_policy)
-        n = len(self.peaks)
+        n = self.__dict__["n"] = len(self.peaks)
         if n == 0:
             raise ValidationError("instance has no agents")
         # ``2.0 in range(2, 4)`` holds, so each value's type is checked too.
@@ -57,10 +56,6 @@ class AmendmentInstance(FrozenValue):
         if type(self.status_quo) is not int or self.status_quo not in family:
             raise ValidationError("status quo outside the feasible threshold family")
         object.__setattr__(self, "vote_policy", VotePolicy(self.vote_policy))
-
-    @cached_property
-    def n(self) -> int:
-        return len(self.peaks)
 
 
 class AmendmentStep(NamedTuple):

@@ -5,7 +5,10 @@ closed by its reader (128 + SIGPIPE, as in ``acceptmax bounds all ... | head -1`
 
 ``main`` can be called any number of times in one process. The argument
 parser is built on the first call and reused after that: it holds no
-per-call state.
+per-call state. Each call parses its arguments once: ``parse_command_line``
+hands an argv that starts with a command straight to that command's
+subparser, and runs the whole parser only where the result could differ, so
+every namespace, usage text, error and exit code is the whole parser's.
 
 Importing this module loads only ``core``, ``adc`` and ``serialize``, which
 ``solve`` needs. ``amend`` loads ``amendment``, ``bounds`` loads ``bounds``,
@@ -151,9 +154,14 @@ def instance_count(text: str) -> int:
     return _int_at_least(text, 0, "instance count")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first call."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple:
+    """The whole parser and its command name -> subparser map, built together once."""
     parser = argparse.ArgumentParser(
         prog="acceptmax",
         description="Acceptance-maximizing collective decisions over rules and outcomes.",
@@ -198,11 +206,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    return parser
+    return parser, sub.choices
+
+
+def parse_command_line(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one parse when ``argv`` starts with a command.
+
+    The whole parser hands everything after the command to that command's
+    subparser in a nested parse. Here the subparser parses it directly, into
+    a namespace that already holds what the top level would have set. The
+    whole parser runs instead, and so prints the same errors, when there is
+    no command first (no arguments, a top-level option, an unknown command),
+    when the subparser leaves arguments over, or when an argument holds
+    ``--=``: the top level rejects one that starts so, as an abbreviation of
+    both its long options, before any subparser runs.
+    """
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    # NUL is not in "--=", so a match lies inside one argument.
+    if command is not None and "--=" not in "\0".join(argv):
+        namespace = argparse.Namespace(threads=parser.get_default("threads"), command=argv[0])
+        args, rest = command.parse_known_args(argv[1:], namespace)
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_command_line(argv)
     try:
         return args.func(args)
     except (serialize.ParseError, core.ValidationError) as exc:

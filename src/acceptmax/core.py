@@ -197,6 +197,7 @@ class GenericInstance(FrozenValue):
             feasible_rule_ids=_frozen(feasible_rule_ids, "feasible rules"),
             agents=tuple(agents),
         )
+        self.__dict__["n"] = len(self.agents)
         outcome_universe = _frozen(self.outcomes, "outcome ids")
         if len(outcome_universe) != len(self.outcomes):
             raise ValidationError("duplicate outcome ids")
@@ -234,10 +235,6 @@ class GenericInstance(FrozenValue):
     @cached_property
     def rule_value(self) -> dict:
         return {r.id: r.value_at_profile for r in self.rules}
-
-    @cached_property
-    def n(self) -> int:
-        return len(self.agents)
 
     def feasible_rules(self) -> list:
         """Ids of the feasible rules whose outcome is feasible, in ``tie_break_order``."""

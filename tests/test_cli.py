@@ -659,6 +659,92 @@ class TestParserReuse:
         assert code == 0 and json.loads(out)["count"] == 2 and err == ""
 
 
+# Each argv with whether ``parse_command_line`` parses it in one pass (True)
+# or hands it to the whole parser (False).
+ONE_PASS_CASES = {
+    "solve": (["solve", "x.json"], True),
+    "solve oracle": (["solve", "x.json", "--mechanism", "oracle"], True),
+    "solve option first": (["solve", "--mechanism=oracle", "x.json"], True),
+    "amend": (["amend", "x.json"], True),
+    "amend one step": (["amend", "x.json", "--one-step"], True),
+    "bounds": (["bounds", "all", "--n", "3", "--n=4", "--mode", "exhaustive", "--k", "2"], True),
+    "gen": (["gen", "abs-disj-k", "--n", "5", "--seed", "3", "--count", "2", "--k", "1"], True),
+    "gen amendment": (["gen", "amendment"], True),
+    "top-level -h": (["-h"], False),
+    "top-level --help": (["--help"], False),
+    "solve -h": (["solve", "-h"], True),
+    "amend -h": (["amend", "x.json", "-h"], True),
+    "bounds --help": (["bounds", "--help"], True),
+    "gen -h": (["gen", "-h", "--n", "1"], True),
+    "missing path": (["solve"], True),
+    "missing --n": (["bounds", "all"], True),
+    "missing option value": (["gen", "any-none", "--count"], True),
+    "bad mechanism": (["solve", "x.json", "--mechanism", "fast"], True),
+    "abbreviated --mech": (["solve", "x.json", "--mech", "oracle"], True),
+    "abbreviated --one": (["amend", "x.json", "--one"], True),
+    "abbreviated --m": (["bounds", "all", "--n", "3", "--m", "auto", "--n", "4"], True),
+    "extra positional": (["solve", "a.json", "b.json"], False),
+    "unknown option": (["amend", "x.json", "--mechanism", "oracle"], False),
+    "--threads after the command": (["solve", "x.json", "--threads", "2"], False),
+    "--threads= after the command": (["bounds", "all", "--n", "3", "--threads=2"], False),
+    "--threads before the command": (["--threads", "2", "solve", "x.json"], False),
+    "bad --threads": (["--threads", "two", "bounds", "all", "--n", "3"], False),
+    "-- before the path": (["solve", "--", "x.json"], True),
+    "-- after the path": (["solve", "x.json", "--"], True),
+    "-- before the command": (["--", "solve", "x.json"], False),
+    "path like an option": (["solve", "-1.json"], True),
+    "-- then a path like an option": (["solve", "--", "-1.json"], True),
+    "--= abbreviates two options": (["solve", "x.json", "--=x"], False),
+    "--= after --": (["solve", "--", "--=x"], False),
+    "unknown command": (["vote", "x.json"], False),
+    "command in another case": (["Solve", "x.json"], False),
+    "bounds --n 1": (["bounds", "all", "--n", "1"], True),
+    "gen --count -1": (["gen", "any-none", "--count", "-1"], True),
+    "gen --n=-1": (["gen", "any-none", "--n=-1"], True),
+    "no argv": ([], False),
+}
+
+
+def _parsed(parse, argv, capsys):
+    """(exit code or None, stdout, stderr, the namespace's fields in order) of one parse."""
+    try:
+        fields, code = list(vars(parse(argv)).items()), None
+    except SystemExit as exc:
+        fields, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, fields
+
+
+class TestOnePassParse:
+    """``parse_command_line`` gives what the whole parser gives, in one parse where it can."""
+
+    @pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
+    def test_same_result_as_the_whole_parser(self, capsys, monkeypatch, case):
+        argv, one_pass = ONE_PASS_CASES[case]
+        parser = cli.build_parser()
+        whole = _parsed(parser.parse_args, list(argv), capsys)
+        whole_calls = []
+
+        def counted(args=None, namespace=None):
+            whole_calls.append(args)
+            return type(parser).parse_args(parser, args, namespace)
+
+        monkeypatch.setattr(parser, "parse_args", counted)
+        assert _parsed(cli.parse_command_line, list(argv), capsys) == whole
+        assert whole_calls == ([] if one_pass else [argv])
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, write_json):
+        path = write_json(ADC_CONSEQ)
+        monkeypatch.setattr(sys, "argv", ["acceptmax", "solve", path, "--mechanism", "oracle"])
+        whole = _parsed(lambda _: cli.build_parser().parse_args(), None, capsys)
+        assert _parsed(cli.parse_command_line, None, capsys) == whole
+        assert ("mechanism", "oracle") in whole[3]
+        code, out, err = run_cli(capsys, "solve", path, "--mechanism", "oracle")
+        assert cli.main() == code == 0
+        assert capsys.readouterr() == (out, err)
+        assert "tally" in json.loads(out)
+
+
 def _with_agent(payload, i, **fields):
     out = copy.deepcopy(payload)
     out["agents"][i].update(fields)

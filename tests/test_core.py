@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import itertools
 import random
 from fractions import Fraction
 
@@ -502,6 +503,86 @@ def test_disjunctive_acceptance_superset_of_conjunctive(inst):
         for d in inst.feasible_decisions():
             if accepts(conj, d, inst):
                 assert accepts(disj, d, inst)
+
+
+# ---------------------------------------------------------------------------
+# The same three properties, proven exhaustively on small models.
+#
+# For one agent (R, Y, conjunctive, implementation_indifferent) and one
+# decision (r, y), where y = v(r) is the outcome rule r selects, both
+# ``accepts`` and acceptance through the substitute read only the two flags
+# and three facts: a = y in Y, b = r in R, and c = some r' in R has
+# v(r') = y. ``accepts`` combines a with b (absolute) or c (indifferent) by
+# AND (conjunctive) or OR. The substitute accepts (r, y) when y is in Y' or
+# r is in R', and each of its four forms decides that from the same facts:
+# Y' = Y | v(R) holds y iff a or c, Y' = Y & v(R) iff a and c (Y' is empty
+# when R is), R' = {r in R : v(r) in Y} holds r iff a and b, and the
+# absolute disjunctivist keeps R and Y. So each side is a function of
+# (flags, a, b, c), and a universe that realizes every feasible combination
+# of the facts under every flag pair decides the properties for every
+# instance. b implies c (take r' = r), so 6 of the 8 combinations are
+# feasible; the tests assert that all 6 occur. Idempotence is a property of
+# the substitute alone: it is an absolute disjunctivist, whose substitute is
+# its own sets, and the universe reaches every branch that builds it.
+
+SMALL_MODEL_SIZES = [(outcomes, rules) for outcomes in (2, 3) for rules in (3, 4)]
+FEASIBLE_FACTS = {(a, b, c) for a in (False, True) for b in (False, True)
+                  for c in (False, True) if c or not b}
+
+
+def _subsets(items):
+    return [frozenset(subset) for size in range(len(items) + 1)
+            for subset in itertools.combinations(items, size)]
+
+
+def small_models():
+    """Every instance of 2-3 outcomes and 3-4 rules, all feasible, one per rule -> outcome map.
+
+    Yields (instance, R, Y) for every subset R of the rules and Y of the outcomes.
+    """
+    for n_outcomes, n_rules in SMALL_MODEL_SIZES:
+        outcomes = tuple("ABC"[:n_outcomes])
+        rule_ids = tuple(f"r{i}" for i in range(n_rules))
+        for values in itertools.product(outcomes, repeat=n_rules):
+            rules = tuple(map(RuleRef, rule_ids, values))
+            inst = make_instance((spec(),), rules=rules, outcomes=outcomes)
+            for R in _subsets(rule_ids):
+                for Y in _subsets(outcomes):
+                    yield inst, R, Y
+
+
+def test_substitution_preserves_acceptance_on_small_models():
+    facts = {flags: set() for flags in itertools.product((False, True), repeat=2)}
+    checks = 0
+    for inst, R, Y in small_models():
+        decisions = inst.feasible_decisions()
+        for flags in facts:
+            agent = spec(R, Y, *flags)
+            sub = substituted(agent, inst)
+            for d in decisions:
+                y = d.outcome
+                realized = any(inst.rule_value[r] == y for r in R)
+                facts[flags].add((y in Y, d.rule.id in R, realized))
+                assert accepts(agent, d, inst) == accepts(sub, d, inst), (agent, d)
+                checks += 1
+    assert all(seen == FEASIBLE_FACTS for seen in facts.values())
+    assert checks == 206_080
+
+
+def test_substitution_idempotent_on_small_models():
+    for inst, R, Y in small_models():
+        for flags in itertools.product((False, True), repeat=2):
+            sub = substituted(spec(R, Y, *flags), inst)
+            assert substituted(sub, inst) == sub
+
+
+def test_conjunctive_acceptance_within_disjunctive_on_small_models():
+    for inst, R, Y in small_models():
+        decisions = inst.feasible_decisions()
+        for ii in (False, True):
+            conj, disj = spec(R, Y, True, ii), spec(R, Y, False, ii)
+            for d in decisions:
+                assert not accepts(conj, d, inst) or accepts(disj, d, inst), (conj, d)
 
 
 adc_instances = st.builds(
