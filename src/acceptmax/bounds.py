@@ -3,9 +3,12 @@
 An instance class pairs agent types with a structural assumption on the
 agents' satisfying sets, such as "each agent finds at least one feasible
 rule acceptable". ``CLASSES`` holds one row per class: its id, the names of
-its agent types in ``core.AGENT_TYPES`` and its threshold rank (below);
-whether the class takes a ``k`` follows from the rank. ``check_class`` is
-the one check of a class id, electorate size and ``k``. The worst case is
+its agent types in ``core.AGENT_TYPES``, the assumption as a per-agent test
+``admits(agent, vote, outcome_of, realizable, k)``, the closed-form rate
+``formula(n, k, family_size)`` that ``table1_formula`` reads, and its
+threshold rank (below); whether the class takes a ``k`` follows from the
+rank. ``check_class`` is the one check of a class id, electorate size and
+``k``. The worst case is
 the minimum, over every instance in the class, of the best achievable
 acceptance count, as an exact rational of the electorate size. The search
 is exact at every electorate size.
@@ -39,6 +42,15 @@ the minimum:
    inclusion-minimal (any satisfying sub-option comes earlier), so the
    kept options are those of the full listing.
 
+The options of a type that names absolute thresholds, or no rules, do not
+depend on the vote count: ``shared_options`` lists them once per search,
+``has_instance`` or ``gen`` call, and ``class_options`` adds each vote
+count's ii representatives and keeps the options the row admits. No
+listing outlives the call that built it. At each vote count an option is
+scored once, as an int mask of the feasible decisions it accepts
+(``_mask_scorer``), and pruned by mask; only the kept options get the 0/1
+vectors the branch and bound reads.
+
 The multisets are searched depth first by branch and bound, proposal
 voters first. A branch carries each feasible decision's acceptance count
 so far and is dropped once it cannot beat the least best count found yet:
@@ -54,7 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .adc import (
     OUTCOMES,
@@ -68,17 +80,104 @@ from .adc import (
 from .core import AGENT_TYPES, ValidationError, substitute_absolute_disjunctivist
 
 
+def _realized(agent: AdcAgent, outcome_of: dict) -> frozenset:
+    """The outcomes an agent's thresholds select on the profile, read by the ii rows only."""
+    return frozenset(map(outcome_of.__getitem__, agent.thresholds))
+
+
+# What each class admits, per agent: ``(agent, vote, outcome_of, realizable,
+# k) -> bool``. The caller builds the profile's ``outcome_of`` and
+# ``_realizable`` once. Every threshold an absolute agent names is feasible:
+# ``shared_options`` lists no other, and ``AdcInstance`` rejects any other for
+# an agent that is not implementation-indifferent.
+
+
+def _admits_any(agent, vote, outcome_of, realizable, k) -> bool:
+    return True
+
+
+def _admits_conj_consistent(agent, vote, outcome_of, realizable, k) -> bool:
+    """Some threshold named, and the agent's own vote acceptable."""
+    return vote in agent.outcomes and bool(agent.thresholds)
+
+
+def _admits_conj_realizable(agent, vote, outcome_of, realizable, k) -> bool:
+    """Some named threshold selects an acceptable outcome."""
+    return any(outcome_of[t] in agent.outcomes for t in agent.thresholds)
+
+
+def _admits_one_rule(agent, vote, outcome_of, realizable, k) -> bool:
+    return len(agent.thresholds) >= 1
+
+
+def _admits_k_rules(agent, vote, outcome_of, realizable, k) -> bool:
+    return len(agent.thresholds) >= k
+
+
+def _admits_one_outcome(agent, vote, outcome_of, realizable, k) -> bool:
+    """Some realizable outcome acceptable."""
+    return bool(agent.outcomes & realizable)
+
+
+def _admits_own_vote(agent, vote, outcome_of, realizable, k) -> bool:
+    return vote in agent.outcomes
+
+
+def _admits_ii_conj_realizable(agent, vote, outcome_of, realizable, k) -> bool:
+    """Some realizable outcome both acceptable and realized by a named threshold."""
+    return bool(agent.outcomes & realizable & _realized(agent, outcome_of))
+
+
+def _admits_ii_one_rule(agent, vote, outcome_of, realizable, k) -> bool:
+    """Some named threshold realizes a realizable outcome."""
+    return bool(_realized(agent, outcome_of) & realizable)
+
+
+def _admits_ii_last(agent, vote, outcome_of, realizable, k) -> bool:
+    """Exactly one realizable outcome acceptable, and a named threshold realizes the other."""
+    return len(agent.outcomes & realizable) == 1 and bool(
+        _realized(agent, outcome_of) & (realizable - agent.outcomes)
+    )
+
+
+# Closed forms, ``(n, k, family_size) -> Fraction``. The half-electorate rows
+# evaluate to ``ceil(n/2)/n``, whose infimum over all sizes is one half.
+
+
+def _zero(n, k, family_size) -> Fraction:
+    return Fraction(0)
+
+
+def _two_agents(n, k, family_size) -> Fraction:
+    return Fraction(2, n)
+
+
+def _k_of_family(n, k, family_size) -> Fraction:
+    return Fraction(math.ceil(Fraction(n * k, family_size)), n)
+
+
+def _half(n, k, family_size) -> Fraction:
+    return Fraction(math.ceil(Fraction(n, 2)), n)
+
+
+def _everyone(n, k, family_size) -> Fraction:
+    return Fraction(1)
+
+
 class InstanceClass(NamedTuple):
     """One verifiable row: the agent types allowed plus a per-agent assumption.
 
-    ``agent_types`` names rows of ``core.AGENT_TYPES``. ``rank`` is the most
-    thresholds an inclusion-minimal option of an absolute agent names (see
-    the module docstring); other options never read it. None means the
-    class takes a ``k``, which is its rank.
+    ``agent_types`` names rows of ``core.AGENT_TYPES``. ``admits`` is the
+    assumption and ``formula`` the closed-form worst-case rate (see the
+    module docstring). ``rank`` is the most thresholds an inclusion-minimal
+    option of an absolute agent names; other options never read it. None
+    means the class takes a ``k``, which is its rank.
     """
 
     id: str
     agent_types: tuple
+    admits: Callable[..., bool]
+    formula: Callable[[int, int | None, int], Fraction]
     rank: int | None = 0
 
     @property
@@ -88,23 +187,26 @@ class InstanceClass(NamedTuple):
 
 _ABS_DISJ, _ABS_CONJ = ("absolute_disjunctivist",), ("absolute_conjunctivist",)
 _II_DISJ, _II_CONJ, _CONSEQ = ("ii_disjunctivist",), ("ii_conjunctivist",), ("consequentialist",)
+_ANY = _ABS_DISJ + _ABS_CONJ + _II_DISJ + _II_CONJ
 
 CLASSES = {
     c.id: c
     for c in (
-        InstanceClass("any-none", _ABS_DISJ + _ABS_CONJ + _II_DISJ + _II_CONJ),
-        InstanceClass("abs-conj-consistent", _ABS_CONJ, rank=1),
-        InstanceClass("abs-conj-realizable", _ABS_CONJ, rank=1),
-        InstanceClass("abs-disj-r1", _ABS_DISJ, rank=1),
-        InstanceClass("abs-disj-k", _ABS_DISJ, rank=None),
-        InstanceClass("abs-disj-y1", _ABS_DISJ),
-        InstanceClass("ii-conj-realizable", _II_CONJ),
-        InstanceClass("ii-disj-r1", _II_DISJ),
-        InstanceClass("ii-disj-y1", _II_DISJ),
-        InstanceClass("ii-disj-last", _II_DISJ),
+        InstanceClass("any-none", _ANY, _admits_any, _zero),
+        InstanceClass("abs-conj-consistent", _ABS_CONJ, _admits_conj_consistent, _zero, rank=1),
+        InstanceClass(
+            "abs-conj-realizable", _ABS_CONJ, _admits_conj_realizable, _two_agents, rank=1
+        ),
+        InstanceClass("abs-disj-r1", _ABS_DISJ, _admits_one_rule, _two_agents, rank=1),
+        InstanceClass("abs-disj-k", _ABS_DISJ, _admits_k_rules, _k_of_family, rank=None),
+        InstanceClass("abs-disj-y1", _ABS_DISJ, _admits_one_outcome, _half),
+        InstanceClass("ii-conj-realizable", _II_CONJ, _admits_ii_conj_realizable, _half),
+        InstanceClass("ii-disj-r1", _II_DISJ, _admits_ii_one_rule, _half),
+        InstanceClass("ii-disj-y1", _II_DISJ, _admits_one_outcome, _half),
+        InstanceClass("ii-disj-last", _II_DISJ, _admits_ii_last, _everyone),
         # Not table rows proper, but verified the same way.
-        InstanceClass("conseq-y1", _CONSEQ),
-        InstanceClass("conseq-consistent", _CONSEQ),
+        InstanceClass("conseq-y1", _CONSEQ, _admits_one_outcome, _half),
+        InstanceClass("conseq-consistent", _CONSEQ, _admits_own_vote, _half),
     )
 }
 
@@ -144,27 +246,13 @@ def check_class(class_id: str, n: int, k: int | None) -> None:
 
 
 def table1_formula(class_id: str, n: int, k: int | None = None) -> Fraction:
-    """Closed-form worst-case rate for a class at electorate size ``n``.
-
-    Values are exact for each ``n``; the half-electorate rows evaluate to
-    ``ceil(n/2)/n``, whose infimum over all sizes is one half.
-    """
+    """Closed-form worst-case rate for a class at electorate size ``n``: its row's ``formula``."""
     check_class(class_id, n, k)
-    family_size = len(threshold_family(n))
-    if class_id in ("any-none", "abs-conj-consistent"):
-        return Fraction(0)
-    if class_id in ("abs-conj-realizable", "abs-disj-r1"):
-        return Fraction(2, n)
-    if class_id == "abs-disj-k":
-        return Fraction(math.ceil(Fraction(n * k, family_size)), n)
-    if class_id == "ii-disj-last":
-        return Fraction(1)
-    # Half-electorate rows.
-    return Fraction(math.ceil(Fraction(n, 2)), n)
+    return CLASSES[class_id].formula(n, k, len(threshold_family(n)))
 
 
 # ---------------------------------------------------------------------------
-# Per-agent option spaces and class predicates.
+# Per-agent option spaces.
 
 
 def _subsets(items, rank: int | None = None) -> list:
@@ -193,78 +281,53 @@ def _realizable(outcome_of: dict) -> frozenset:
     return frozenset(map(outcome_of.__getitem__, threshold_family(len(outcome_of))))
 
 
-def class_predicate(
-    class_id: str,
-    agent: AdcAgent,
-    vote: str,
-    outcome_of: dict,
-    realizable: frozenset,
-    k: int | None = None,
-) -> bool:
-    """Whether one agent's satisfying set meets the class assumption at one profile.
+def shared_options(agent_types, n: int, rank: int | None = None) -> list:
+    """Each named type's unfiltered options that every vote count shares, empty sets first.
 
-    The caller builds the profile's ``outcome_of`` and ``_realizable`` once.
-    Every threshold an absolute agent names is feasible: ``_type_options``
-    lists no other, and ``AdcInstance`` rejects any other for an agent that
-    is not implementation-indifferent.
-    """
-    if class_id == "any-none":
-        return True
-    if class_id == "abs-conj-consistent":
-        return vote in agent.outcomes and bool(agent.thresholds)
-    if class_id == "abs-conj-realizable":
-        return any(outcome_of[t] in agent.outcomes for t in agent.thresholds)
-    if class_id == "abs-disj-r1":
-        return len(agent.thresholds) >= 1
-    if class_id == "abs-disj-k":
-        return len(agent.thresholds) >= k
-    if class_id in ("abs-disj-y1", "ii-disj-y1", "conseq-y1"):
-        return bool(agent.outcomes & realizable)
-    if class_id == "conseq-consistent":
-        return vote in agent.outcomes
-    # The outcomes the agent's thresholds realize, read only by these rows.
-    realized = frozenset(map(outcome_of.__getitem__, agent.thresholds))
-    if class_id == "ii-conj-realizable":
-        return bool(agent.outcomes & realizable & realized)
-    if class_id == "ii-disj-r1":
-        return bool(realized & realizable)
-    if class_id == "ii-disj-last":
-        return len(agent.outcomes & realizable) == 1 and bool(
-            realized & (realizable - agent.outcomes)
-        )
-    raise ValidationError(f"unknown class {class_id!r}")
-
-
-def _type_options(agent_types, n: int, votes_p: int, rank: int | None = None) -> list:
-    """Unfiltered agent options of each named type in turn, empty sets first.
-
-    Absolute agents name at most ``rank`` thresholds (any number when None),
-    ii agents one set per realized-outcome class. A set the type may not fill
+    One ``(conjunctive, ii, outcome_sets, options)`` entry per type. An
+    absolute type's options name at most ``rank`` thresholds (any number
+    when None); a type that names no rules has only the empty set. A type
+    that names ii thresholds has None for options: its representative sets
+    depend on the vote count (``_options_at``). A set the type may not fill
     is empty.
     """
-    options, family = [], threshold_family(n)
+    listing, family = [], threshold_family(n)
     for name in agent_types:
         conj, ii, names_rules, names_outcomes = AGENT_TYPES[name]
-        rule_sets = [frozenset()]
-        if names_rules:
-            rule_sets = _ii_threshold_reps(n, votes_p) if ii else _subsets(family, rank)
         outcome_sets = _Y_SUBSETS if names_outcomes else _Y_SUBSETS[:1]
-        options += [AdcAgent(r, y, conj, ii) for r in rule_sets for y in outcome_sets]
+        options = None
+        if not (ii and names_rules):
+            rule_sets = _subsets(family, rank) if names_rules else [frozenset()]
+            options = [AdcAgent(r, y, conj, ii) for r in rule_sets for y in outcome_sets]
+        listing.append((conj, ii, outcome_sets, options))
+    return listing
+
+
+def _options_at(listing, n: int, votes_p: int) -> list:
+    """A ``shared_options`` listing's options at one vote count, each type in turn."""
+    options = []
+    for conj, ii, outcome_sets, shared in listing:
+        if shared is None:
+            reps = _ii_threshold_reps(n, votes_p)
+            shared = [AdcAgent(r, y, conj, ii) for r in reps for y in outcome_sets]
+        options += shared
     return options
 
 
-def class_options(class_id: str, n: int, votes_p: int, k: int | None, rank: int | None = None):
+def class_options(class_id: str, n: int, votes_p: int, k: int | None, listing: list):
     """A vote count's ``outcome_of`` and its class options for each side of the vote.
 
     The sides are a proposal voter's options, then a status-quo voter's,
-    each in canonical order, naming at most ``rank`` thresholds.
+    each in canonical order: the options of ``listing``, the class's
+    ``shared_options`` at some rank, that the row admits. A listing with
     ``rank=None`` gives the full listing: ``gen`` samples from it.
     """
     outcome_of = threshold_outcomes(n, votes_p)
     realizable = _realizable(outcome_of)
-    options = _type_options(CLASSES[class_id].agent_types, n, votes_p, rank)
+    options = _options_at(listing, n, votes_p)
+    admits = CLASSES[class_id].admits
     return outcome_of, [
-        [a for a in options if class_predicate(class_id, a, vote, outcome_of, realizable, k)]
+        [a for a in options if admits(a, vote, outcome_of, realizable, k)]
         for vote in (PROPOSAL, STATUS_QUO)
     ]
 
@@ -272,13 +335,14 @@ def class_options(class_id: str, n: int, votes_p: int, k: int | None, rank: int 
 def _listings(class_id: str, n: int, k: int | None):
     """Per vote count: ``(votes_p, outcome_of, sides, fills)``, from ``class_options`` at the rank.
 
-    ``fills`` says whether each side that has voters has an option. The
-    rank cap drops no option Pareto pruning keeps.
+    The rank-capped ``shared_options`` are listed once, on the first vote
+    count. ``fills`` says whether each side that has voters has an option.
+    The rank cap drops no option Pareto pruning keeps.
     """
     row = CLASSES[class_id]
-    rank = k if row.needs_k else row.rank
+    listing = shared_options(row.agent_types, n, k if row.needs_k else row.rank)
     for votes_p in range(n + 1):
-        outcome_of, sides = class_options(class_id, n, votes_p, k, rank)
+        outcome_of, sides = class_options(class_id, n, votes_p, k, listing)
         yield votes_p, outcome_of, sides, (votes_p == 0 or sides[0]) and (votes_p == n or sides[1])
 
 
@@ -291,31 +355,63 @@ def has_instance(class_id: str, n: int, k: int | None = None) -> bool:
 # Worst-case search.
 
 
-def _decision_bits(agent: AdcAgent, decisions, outcome_of):
-    """The agent's acceptance of each decision (t, y), through its substitute (R', Y')."""
-    rules, outcomes = substitute_absolute_disjunctivist(agent, outcome_of)
-    return tuple(int(y in outcomes or t in rules) for t, y in decisions)
+def _mask_scorer(n: int, outcome_of: dict):
+    """The function scoring an option at one vote count as an int mask of the decisions it accepts.
+
+    The decisions are ``(t, outcome_of[t])`` for each family threshold
+    ``t``, ascending, and ``t`` is bit ``n - t``: the smallest threshold is
+    the highest bit, so the mask read as binary digits is the 0/1 vector
+    over the decisions. An option accepts ``(t, y)`` exactly when ``y`` is in
+    its substitute's Y' or ``t`` in its R'
+    (``core.substitute_absolute_disjunctivist``), so its mask is the OR of
+    the block of decisions that select each ``y`` in Y' and the bit of each
+    ``t`` in R'.
+    """
+    bit = {t: 1 << (n - t) for t in threshold_family(n)}
+    block = dict.fromkeys(OUTCOMES, 0)
+    for t, b in bit.items():
+        block[outcome_of[t]] |= b
+
+    def score(agent) -> int:
+        rules, outcomes = substitute_absolute_disjunctivist(agent, outcome_of)
+        mask = 0
+        for y in outcomes:
+            mask |= block[y]
+        for t in rules:
+            mask |= bit[t]
+        return mask
+
+    return score
 
 
-def _pareto_minimal(bit_options):
-    """The options whose acceptance vector no other option's lies below.
+def _pareto_kept(scored, width: int) -> list:
+    """The ``(mask, option)`` pairs whose mask no other lies below, as ``(bits, option)``.
 
-    Options with equal vectors are represented by the first in canonical order,
-    and the kept options stay in canonical order.
+    Options with equal masks are represented by the first in canonical
+    order, and the kept options stay in canonical order. ``bits`` is the
+    mask as a 0/1 vector of ``width`` decisions, highest bit first, built
+    for the kept options only.
     """
     firsts = {}
-    for bits, agent in bit_options:
-        firsts.setdefault(bits, agent)
-    # A vector can only lie below one with a larger sum, so visiting by sum
-    # compares each vector with the minimal ones found so far and no others.
-    # As bit masks, ``other`` lies below ``mask`` when ``other & mask == other``.
-    keep, masks = set(), []
-    for bits in sorted(firsts, key=sum):
-        mask = int("".join(map(str, bits)), 2)
-        if not any(other & mask == other for other in masks):
-            masks.append(mask)
-            keep.add(bits)
-    return [(bits, agent) for bits, agent in firsts.items() if bits in keep]
+    for mask, agent in scored:
+        firsts.setdefault(mask, agent)
+    # A mask can only lie below one with more bits set, so visiting by bit
+    # count compares each mask with the minimal ones found so far and no
+    # others. ``other`` lies below ``mask`` when ``other & mask == other``.
+    minimal = []
+    for mask in sorted(firsts, key=int.bit_count):
+        for other in minimal:
+            if other & mask == other:
+                break
+        else:
+            minimal.append(mask)
+    keep = set(minimal)
+    digits = f"0{width}b"
+    return [
+        (tuple(map(int, format(mask, digits))), agent)
+        for mask, agent in firsts.items()
+        if mask in keep
+    ]
 
 
 def _branch_and_bound(slots, width, best):
@@ -331,7 +427,10 @@ def _branch_and_bound(slots, width, best):
     size = len(slots)
     rest = [0] * (size + 1)
     for i in reversed(range(size)):
-        rest[i] = rest[i + 1] + min(sum(bits) for bits, _ in slots[i])
+        # Each run of slots that share one list reads its fewest acceptances once.
+        if i + 1 == size or slots[i] is not slots[i + 1]:
+            fewest = min(sum(bits) for bits, _ in slots[i])
+        rest[i] = rest[i + 1] + fewest
     chosen = []
     found = None
     nodes = 0
@@ -358,6 +457,9 @@ def _branch_and_bound(slots, width, best):
             chosen.pop()
 
     visit(0, 0, [0] * width)
+    # ``visit`` holds itself through its closure: unbinding it frees the
+    # search's lists now, not at the cyclic collector's next full pass.
+    del visit
     return best, found, nodes
 
 
@@ -373,18 +475,19 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
     formula = table1_formula(class_id, n, k)
     if not CLASSES[class_id].needs_k:
         k = None
+    width = len(threshold_family(n))
     best, witness = n + 1, None
     options = kept = nodes = 0
     for votes_p, outcome_of, sides, fills in _listings(class_id, n, k):
-        decisions = [(t, outcome_of[t]) for t in threshold_family(n)]
-        bits_of = {a: _decision_bits(a, decisions, outcome_of) for a in set().union(*sides)}
+        score = _mask_scorer(n, outcome_of)
+        mask_of = {a: score(a) for a in set().union(*sides)}
         options += sum(map(len, sides))
-        bits_p, bits_r = (_pareto_minimal([(bits_of[a], a) for a in side]) for side in sides)
-        kept += len(bits_p) + len(bits_r)
+        kept_p, kept_r = (_pareto_kept([(mask_of[a], a) for a in side], width) for side in sides)
+        kept += len(kept_p) + len(kept_r)
         if not fills:
             continue
-        slots = [bits_p] * votes_p + [bits_r] * (n - votes_p)
-        best, agents, visited = _branch_and_bound(slots, len(decisions), best)
+        slots = [kept_p] * votes_p + [kept_r] * (n - votes_p)
+        best, agents, visited = _branch_and_bound(slots, width, best)
         nodes += visited
         if agents is not None:
             votes = (PROPOSAL,) * votes_p + (STATUS_QUO,) * (n - votes_p)

@@ -43,8 +43,10 @@ def cmd_solve(args) -> int:
     reference cycles: after a warm call, ``gc.collect()`` finds nothing to
     free (``tests/test_cli.py`` checks this). The collector is re-enabled
     afterwards only if it was enabled before, also when the input is
-    rejected. ``bounds`` is not paused: its recursive search leaves
-    thousands of cyclic objects per run, and pausing it raised peak memory.
+    rejected. ``bounds`` is not paused: pausing it raised peak memory while
+    its search left thousands of cyclic objects per run. The search now
+    leaves none (``tests/test_bounds.py`` checks this), and a pause there
+    has not been measured since.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -95,17 +97,30 @@ def cmd_bounds(args) -> int:
     return EXIT_OK if all_match else EXIT_MISMATCH
 
 
-def _gen_adc(class_id, n, rng, k):
+def _gen_adc(class_id, n, rng, k, count):
+    """``count`` random instances of the class at ``n``, drawn from its full option listing."""
     from . import bounds
 
-    for _attempt in range(10_000):
-        votes = tuple(rng.choice(adc.OUTCOMES) for _ in range(n))
-        # An agent's options depend only on its vote: list each vote's once.
-        _, sides = bounds.class_options(class_id, n, votes.count(adc.PROPOSAL), k)
-        options = dict(zip((adc.PROPOSAL, adc.STATUS_QUO), sides))
-        if all(options[v] for v in set(votes)):
-            return adc.AdcInstance(votes, tuple(rng.choice(options[v]) for v in votes))
-    raise core.ValidationError(f"class {class_id!r} unsatisfiable for n={n}")
+    if not count:  # the full listing grows as 2 ** (n / 2): build none for no instance
+        return
+    # The options no vote count changes are listed once for all ``count``,
+    # and each vote count's options once, when it first comes up. An
+    # agent's options depend only on its vote.
+    listing = bounds.shared_options(bounds.CLASSES[class_id].agent_types, n)
+    options_at = {}
+    for _ in range(count):
+        for _attempt in range(10_000):
+            votes = tuple(rng.choice(adc.OUTCOMES) for _ in range(n))
+            votes_p = votes.count(adc.PROPOSAL)
+            if votes_p not in options_at:
+                _, sides = bounds.class_options(class_id, n, votes_p, k, listing)
+                options_at[votes_p] = dict(zip((adc.PROPOSAL, adc.STATUS_QUO), sides))
+            options = options_at[votes_p]
+            if all(options[v] for v in set(votes)):
+                yield adc.AdcInstance(votes, tuple(rng.choice(options[v]) for v in votes))
+                break
+        else:
+            raise core.ValidationError(f"class {class_id!r} unsatisfiable for n={n}")
 
 
 def cmd_gen(args) -> int:
@@ -131,8 +146,7 @@ def cmd_gen(args) -> int:
         if not bounds.has_instance(args.class_id, n, args.k):
             raise core.ValidationError(f"class {args.class_id!r} unsatisfiable for n={n}")
     for n in sizes:
-        for _ in range(args.count):
-            instance = _gen_adc(args.class_id, n, rng, args.k)
+        for instance in _gen_adc(args.class_id, n, rng, args.k, args.count):
             print(serialize.dumps(serialize.adc_instance_to_dict(instance)))
     return EXIT_OK
 

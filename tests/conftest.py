@@ -15,7 +15,7 @@ from acceptmax.adc import (
     majority_threshold,
     threshold_family,
 )
-from acceptmax.bounds import class_options
+from acceptmax.bounds import CLASSES, class_options, shared_options
 from acceptmax.core import (
     GenericInstance,
     RuleRef,
@@ -187,9 +187,10 @@ def enumerate_instances(class_id: str, n: int, k: int | None = None):
     Vote vectors are full and agents are ordered; only implementation-
     indifferent threshold sets are reduced to their representatives.
     """
+    listing = shared_options(CLASSES[class_id].agent_types, n)
     for votes in itertools.product(OUTCOMES, repeat=n):
         votes_p = sum(1 for v in votes if v == PROPOSAL)
-        _, (options_p, options_r) = class_options(class_id, n, votes_p, k)
+        _, (options_p, options_r) = class_options(class_id, n, votes_p, k, listing)
         per_agent = [options_p if v == PROPOSAL else options_r for v in votes]
         if any(not opts for opts in per_agent):
             continue

@@ -32,7 +32,7 @@ from acceptmax.amendment import (
     check_universal_acceptance,
     h_threshold,
 )
-from acceptmax.bounds import _type_options, worst_case_rate
+from acceptmax.bounds import _options_at, shared_options, worst_case_rate
 from acceptmax.core import (
     accepts,
     max_accept,
@@ -81,8 +81,8 @@ def test_criterion_1_oracle_equivalence(report_line):
         "ii_conjunctivist",
     ):
         for n in (2, 3, 4):
-            def options_for(votes_p, vote, name=name, n=n):
-                return _type_options((name,), n, votes_p)
+            def options_for(votes_p, vote, listing=shared_options((name,), n), n=n):
+                return _options_at(listing, n, votes_p)
 
             for inst in homogeneous_suite(n, options_for):
                 oracle = oracle_max_accept(adc_to_generic(inst)).report
@@ -167,11 +167,12 @@ def test_criterion_4_ii_floor(report_line):
     for n in (2, 3, 4):
         feasible = frozenset(threshold_family(n))
         floor = math.ceil(n / len(OUTCOMES))
+        listing = shared_options(("ii_disjunctivist", "ii_conjunctivist"), n)
         for votes_p in range(n + 1):
             decisions = adc_decisions(votes_p, feasible)
             options = [
                 a
-                for a in _type_options(("ii_disjunctivist", "ii_conjunctivist"), n, votes_p)
+                for a in _options_at(listing, n, votes_p)
                 if any(adc_accepts(a, t, y, votes_p) for t, y in decisions)
             ]
             bits = {

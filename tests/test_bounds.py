@@ -1,5 +1,6 @@
 """Worst-case acceptance rates: closed forms, enumeration reductions, the exact search."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -22,12 +23,13 @@ from acceptmax.adc import (
 from acceptmax.bounds import (
     CLASSES,
     _branch_and_bound,
-    _decision_bits,
-    _pareto_minimal,
+    _mask_scorer,
+    _pareto_kept,
     _realizable,
     check_class,
     class_options,
-    class_predicate,
+    has_instance,
+    shared_options,
     table1_formula,
     worst_case_rate,
 )
@@ -120,7 +122,7 @@ class TestEnumeration:
             for inst in enumerate_instances(class_id, 3, k):
                 realizable = _realizable(inst.rule_value)
                 for agent, vote in zip(inst.agents, inst.votes):
-                    assert class_predicate(class_id, agent, vote, inst.rule_value, realizable, k)
+                    assert CLASSES[class_id].admits(agent, vote, inst.rule_value, realizable, k)
                 seen += 1
             assert seen > 0
 
@@ -141,16 +143,21 @@ def full_type_options(agent_types, n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_decision_bits_match_threshold_reference(n):
-    # The search scores options through core's substitution; the reference
+    # The search scores options through core's substitution, as int masks
+    # whose highest bit is the smallest family threshold; the reference
     # decides each (threshold, outcome) pair on its own, without core.
     feasible = frozenset(threshold_family(n))
     for votes_p in range(n + 1):
         decisions = adc_decisions(votes_p, feasible)
-        outcome_of = threshold_outcomes(n, votes_p)
+        assert [t for t, _ in decisions] == list(threshold_family(n))
+        score = _mask_scorer(n, threshold_outcomes(n, votes_p))
         for name in AGENT_TYPES:
             for a in full_type_options((name,), n):
-                expected = tuple(int(adc_accepts(a, t, y, votes_p)) for t, y in decisions)
-                assert _decision_bits(a, decisions, outcome_of) == expected
+                mask = score(a)
+                assert mask >> len(decisions) == 0
+                for j, (t, y) in enumerate(decisions):
+                    bit = mask >> (len(decisions) - 1 - j) & 1
+                    assert bit == adc_accepts(a, t, y, votes_p), (a, t, y)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -161,21 +168,44 @@ def test_rank_cap_keeps_the_full_listings_options(n):
     # k, vote count and side.
     family = threshold_family(n)
     for class_id in sorted(CLASSES):
-        ks = range(1, len(family) + 1) if CLASSES[class_id].needs_k else [None]
+        row = CLASSES[class_id]
+        ks = range(1, len(family) + 1) if row.needs_k else [None]
+        full_listing = shared_options(row.agent_types, n)
         for k in ks:
-            rank = k if CLASSES[class_id].needs_k else CLASSES[class_id].rank
+            capped_listing = shared_options(row.agent_types, n, k if row.needs_k else row.rank)
             for votes_p in range(n + 1):
-                outcome_of, capped = class_options(class_id, n, votes_p, k, rank)
-                _, full = class_options(class_id, n, votes_p, k)
-                decisions = [(t, outcome_of[t]) for t in family]
+                outcome_of, capped = class_options(class_id, n, votes_p, k, capped_listing)
+                _, full = class_options(class_id, n, votes_p, k, full_listing)
+                score = _mask_scorer(n, outcome_of)
 
                 def kept(opts):
-                    return _pareto_minimal(
-                        (_decision_bits(a, decisions, outcome_of), a) for a in opts
-                    )
+                    return _pareto_kept([(score(a), a) for a in opts], len(family))
 
                 for vote, capped_here, full_here in zip(OUTCOMES, capped, full):
                     assert kept(capped_here) == kept(full_here), (class_id, k, votes_p, vote)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mask_pruning_matches_brute_force(data):
+    # Brute force over 0/1 vectors: keep the first option with each vector
+    # when no option's vector lies strictly below it, in canonical order.
+    width = data.draw(st.integers(min_value=1, max_value=5))
+    vectors = data.draw(
+        st.lists(st.tuples(*[st.integers(min_value=0, max_value=1)] * width), max_size=12)
+    )
+    masks = [sum(bit << (width - 1 - j) for j, bit in enumerate(v)) for v in vectors]
+
+    def strictly_below(u, v):
+        return u != v and all(a <= b for a, b in zip(u, v))
+
+    expected = [
+        (v, ("option", i))
+        for i, v in enumerate(vectors)
+        if v not in vectors[:i] and not any(strictly_below(u, v) for u in vectors)
+    ]
+    scored = [(mask, ("option", i)) for i, mask in enumerate(masks)]
+    assert _pareto_kept(scored, width) == expected
 
 
 def full_space_min(class_id, n, k=None):
@@ -187,7 +217,7 @@ def full_space_min(class_id, n, k=None):
         realizable = _realizable(outcome_of)
         per_agent = [
             [a for a in full_type_options(CLASSES[class_id].agent_types, n)
-             if class_predicate(class_id, a, v, outcome_of, realizable, k)]
+             if CLASSES[class_id].admits(a, v, outcome_of, realizable, k)]
             for v in votes
         ]
         if any(not opts for opts in per_agent):
@@ -253,7 +283,7 @@ class TestExhaustive:
         assert w.feasible_thresholds == frozenset(threshold_family(n))
         realizable = _realizable(w.rule_value)
         for agent, vote in zip(w.agents, w.votes):
-            assert class_predicate(class_id, agent, vote, w.rule_value, realizable, k)
+            assert CLASSES[class_id].admits(agent, vote, w.rule_value, realizable, k)
         assert Fraction(oracle_count(w), n) == report.observed_min_rate
 
     def test_class_empty_at_n_has_no_witness(self):
@@ -294,6 +324,36 @@ class TestExhaustive:
         assert digest.hexdigest() == (
             "50995c9016c6f66c9023b6acd557251d4b059e36ba22c2e3b3872544b8539725"
         )
+
+
+    def test_abs_disj_k_row_at_n24_is_pinned(self):
+        # The whole serialized row of `bounds abs-disj-k --k 2 --n 24`,
+        # recorded before options were scored and pruned as int masks.
+        row = bounds_report_to_dict(worst_case_rate("abs-disj-k", 24, k=2))
+        assert (row["options"], row["kept"], row["nodes"]) == (13200, 3300, 8628)
+        assert row["witness"]["votes"] == "r" * 24
+        assert [agent["R_t"] for agent in row["witness"]["agents"]] == [
+            [t, t + 1] for t in range(13, 24, 2) for _ in range(4)
+        ]
+        assert hashlib.sha256(dumps(row).encode()).hexdigest() == (
+            "e1e8b798c06cf3f63dcbdb568c9d297c176b756e3d56e23a9210ac71218407a6"
+        )
+
+    def test_search_leaves_no_cycles(self):
+        # Every row's search must free what it built when it returns, not
+        # leave it to the cyclic collector.
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for class_id in sorted(CLASSES):
+                for n in (3, 4, 5):
+                    worst_case_rate(class_id, n, k=2)
+                    has_instance(class_id, n, k=2)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 @settings(max_examples=300, deadline=None)

@@ -443,7 +443,9 @@ class TestSerializeRoundTrip:
             instances += [bounds.worst_case_rate(class_id, n, k).witness for n in range(3, 8)]
             for n in range(2, 6):
                 if bounds.has_instance(class_id, n, k):
-                    instances += [cli._gen_adc(class_id, n, random.Random(s), k) for s in range(3)]
+                    instances += [
+                        next(cli._gen_adc(class_id, n, random.Random(s), k, 1)) for s in range(3)
+                    ]
         for inst in instances:
             assert serialize.parse_instance(serialize.adc_instance_to_dict(inst)) == inst
 
