@@ -21,7 +21,7 @@ _EXPORTS = {
         "accepts",
         "max_accept",
         "oracle_max_accept",
-        "substitute_absolute_disjunctivist",
+        "substitute_absolute_disjunctivists",
     ),
     "adc": (
         "AdcAgent",

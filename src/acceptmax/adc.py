@@ -71,8 +71,8 @@ class AdcAgent(NamedTuple):
     """One agent's acceptable thresholds and outcomes plus type flags.
 
     A ``NamedTuple`` with ``core.SatisfyingSpec``'s layout, thresholds in
-    place of rule ids, so ``core.substitute_absolute_disjunctivist`` reads
-    both: see ``acceptmax.core``.
+    place of rule ids, so ``core.substitute_absolute_disjunctivists`` reads a
+    population of either: see ``acceptmax.core``.
     """
 
     thresholds: frozenset
@@ -92,7 +92,12 @@ class AdcInstance(FrozenValue):
         n = self.__dict__["n"] = len(self.votes)
         if n == 0:
             raise ValidationError("instance has no votes")
-        if not all(map(OUTCOMES.__contains__, self.votes)):
+        outcome_universe = frozenset(OUTCOMES)
+        try:
+            known = outcome_universe.issuperset(self.votes)
+        except TypeError:  # an unhashable vote is no outcome either
+            known = False
+        if not known:
             raise ValidationError("votes must be 'r' or 'p'")
         family = frozenset(threshold_family(n))
         # None means the full family, which needs no check. A caller's set is
@@ -108,7 +113,6 @@ class AdcInstance(FrozenValue):
             raise ValidationError("agent count must match vote count")
         # Types are checked per element: ``2.0`` and ``True`` equal and hash
         # like the ints ``2`` and ``1``, so a set test alone lets them in.
-        outcome_universe = frozenset(OUTCOMES)
         loose = []
         for idx, (thresholds, outcomes, _, indifferent) in enumerate(self.agents):
             try:
@@ -156,10 +160,11 @@ def threshold_outcomes(n: int, votes_p: int) -> dict:
     The one statement of the supermajority rule: ``t`` selects ``p`` exactly
     when ``t <= votes_p``. ``AdcInstance.rule_value`` holds this lookup for
     one instance, ``amendment`` builds one per ballot, and ``bounds`` builds
-    one per vote count and hands it to ``core.substitute_absolute_disjunctivist``.
+    one per vote count and hands it to ``core.substitute_absolute_disjunctivists``.
     """
-    adopting = dict.fromkeys(range(1, votes_p + 1), PROPOSAL)
-    return adopting | dict.fromkeys(range(votes_p + 1, n + 1), STATUS_QUO)
+    outcome_of = dict.fromkeys(range(1, votes_p + 1), PROPOSAL)
+    outcome_of.update(dict.fromkeys(range(votes_p + 1, n + 1), STATUS_QUO))
+    return outcome_of
 
 
 def adc_to_generic(instance: AdcInstance) -> GenericInstance:

@@ -77,7 +77,7 @@ from .adc import (
     threshold_family,
     threshold_outcomes,
 )
-from .core import AGENT_TYPES, ValidationError, substitute_absolute_disjunctivist
+from .core import AGENT_TYPES, ValidationError, substitute_absolute_disjunctivists
 
 
 def _realized(agent: AdcAgent, outcome_of: dict) -> frozenset:
@@ -355,33 +355,30 @@ def has_instance(class_id: str, n: int, k: int | None = None) -> bool:
 # Worst-case search.
 
 
-def _mask_scorer(n: int, outcome_of: dict):
-    """The function scoring an option at one vote count as an int mask of the decisions it accepts.
+def _mask_scorer(n: int, outcome_of: dict, options) -> list:
+    """Each option's int mask of the decisions it accepts at one vote count, in option order.
 
     The decisions are ``(t, outcome_of[t])`` for each family threshold
     ``t``, ascending, and ``t`` is bit ``n - t``: the smallest threshold is
     the highest bit, so the mask read as binary digits is the 0/1 vector
-    over the decisions. An option accepts ``(t, y)`` exactly when ``y`` is in
-    its substitute's Y' or ``t`` in its R'
-    (``core.substitute_absolute_disjunctivist``), so its mask is the OR of
-    the block of decisions that select each ``y`` in Y' and the bit of each
-    ``t`` in R'.
+    over the decisions. One ``core.substitute_absolute_disjunctivists`` call
+    substitutes every option, and an option accepts ``(t, y)`` exactly when
+    ``y`` is in its Y' or ``t`` in its R', so its mask is the OR of the block
+    of decisions that select each ``y`` in Y' and the bit of each ``t`` in R'.
     """
     bit = {t: 1 << (n - t) for t in threshold_family(n)}
     block = dict.fromkeys(OUTCOMES, 0)
     for t, b in bit.items():
         block[outcome_of[t]] |= b
-
-    def score(agent) -> int:
-        rules, outcomes = substitute_absolute_disjunctivist(agent, outcome_of)
+    masks = []
+    for rules, outcomes in substitute_absolute_disjunctivists(options, outcome_of):
         mask = 0
         for y in outcomes:
             mask |= block[y]
         for t in rules:
             mask |= bit[t]
-        return mask
-
-    return score
+        masks.append(mask)
+    return masks
 
 
 def _pareto_kept(scored, width: int) -> list:
@@ -479,8 +476,8 @@ def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport
     best, witness = n + 1, None
     options = kept = nodes = 0
     for votes_p, outcome_of, sides, fills in _listings(class_id, n, k):
-        score = _mask_scorer(n, outcome_of)
-        mask_of = {a: score(a) for a in set().union(*sides)}
+        pool = set().union(*sides)
+        mask_of = dict(zip(pool, _mask_scorer(n, outcome_of, pool)))
         options += sum(map(len, sides))
         kept_p, kept_r = (_pareto_kept([(mask_of[a], a) for a in side], width) for side in sides)
         kept += len(kept_p) + len(kept_r)

@@ -13,11 +13,12 @@ an immutable value; all operations are pure functions and safe to call
 concurrently.
 
 Acceptance has one closed form, the substitution
-``substitute_absolute_disjunctivist(agent, rule_value)``: the absolute
-disjunctivist (R', Y') that accepts what ``agent`` accepts. ``max_accept``
-tallies from it and ``bounds`` scores agent options with it. ``accepts``
-restates the definition only as the oracle's reference, deciding each agent
-once per decision. ``tie_break_order`` is both maximizers' one tie-break.
+``substitute_absolute_disjunctivists(agents, rule_value)``: per agent, in
+order, the absolute disjunctivist (R', Y') that accepts what it accepts.
+``max_accept`` calls it once per instance and ``bounds`` once per vote count
+to score agent options. ``accepts`` restates the definition only as the
+oracle's reference, deciding each agent once per decision.
+``tie_break_order`` is both maximizers' one tie-break.
 
 Equal fields give equal values with equal hashes, and no field can be
 assigned. No class here comes from the standard library's class-generating
@@ -294,32 +295,38 @@ def _report(instance: GenericInstance, decision: Decision, accepted: frozenset) 
 _EMPTY = frozenset()
 
 
-def substitute_absolute_disjunctivist(agent, rule_value) -> tuple:
-    """The sets (R', Y') of the absolute disjunctivist accepting the same decisions.
+def substitute_absolute_disjunctivists(agents, rule_value) -> list:
+    """The sets (R', Y') of the absolute disjunctivist accepting what each agent accepts, in order.
 
-    ``agent`` is read by position as (rules, outcomes, conjunctive,
+    Each agent is read by position as (rules, outcomes, conjunctive,
     implementation_indifferent), the layout of ``SatisfyingSpec`` and of
     ``adc.AdcAgent``, with frozenset sets as the instances store them.
     ``rule_value`` maps each rule to the outcome it selects on the profile:
     an instance's ``rule_value``, or ``adc.threshold_outcomes``.
-    The agent accepts (r, y) exactly when y is in Y' or r is in R'.
+    An agent accepts (r, y) exactly when y is in its Y' or r is in its R'.
     Implementation-indifferent rule concerns collapse into the outcomes those
     rules realize; conjunctive rule sets keep only the rules whose realized
     outcome is acceptable. An absolute disjunctivist, and an
     implementation-indifferent disjunctivist without rules, gets its own sets
     back. The always-empty side is one shared empty frozenset.
     """
-    rules, outcomes, conjunctive, indifferent = agent
-    if indifferent:
-        if not rules:
-            return _EMPTY, _EMPTY if conjunctive else outcomes
-        if conjunctive:
-            return _EMPTY, outcomes.intersection(map(rule_value.__getitem__, rules))
-        return _EMPTY, outcomes.union(map(rule_value.__getitem__, rules))
-    if conjunctive:
-        realized_ok = map(outcomes.__contains__, map(rule_value.__getitem__, rules))
-        return frozenset(compress(rules, realized_ok)), _EMPTY
-    return rules, outcomes
+    value_of = rule_value.__getitem__
+    pairs = []
+    append = pairs.append
+    for rules, outcomes, conjunctive, indifferent in agents:
+        if indifferent:
+            if not rules:
+                append((_EMPTY, _EMPTY if conjunctive else outcomes))
+            elif conjunctive:
+                append((_EMPTY, outcomes.intersection(map(value_of, rules))))
+            else:
+                append((_EMPTY, outcomes.union(map(value_of, rules))))
+        elif conjunctive:
+            realized_ok = map(outcomes.__contains__, map(value_of, rules))
+            append((frozenset(compress(rules, realized_ok)), _EMPTY))
+        else:
+            append((rules, outcomes))
+    return pairs
 
 
 def max_accept(instance) -> SolveReport:
@@ -346,7 +353,7 @@ def max_accept(instance) -> SolveReport:
     values = instance.rule_value
     outcome_count = dict.fromkeys(instance.outcomes, 0)
     rule_count = dict.fromkeys(values, 0)
-    pairs = [substitute_absolute_disjunctivist(agent, values) for agent in instance.agents]
+    pairs = substitute_absolute_disjunctivists(instance.agents, values)
     for rule_ids, outcomes in pairs:
         for y in outcomes:
             outcome_count[y] += 1

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from . import adc, core
@@ -24,15 +23,16 @@ class ParseError(ValueError):
     """Input file or payload cannot be turned into a valid instance."""
 
 
-# Type checks are inline ``isinstance`` tests that call these only to build
-# the error: fields are read once per agent, so one more call per field is a
-# measurable share of parsing a large electorate. For the same reason an
-# agent's location string is built only on its error path. Element types are
-# checked where a pass over the elements already happens: ``frozenset``
-# builds are wrapped in ``try`` (an unhashable element raises TypeError), adc
-# thresholds are type-checked with their range in ``AdcInstance``, and an
-# agent's ids and outcomes must lie in universes of strings checked once per
-# instance.
+# Both parsers read their agents in one inline loop, with no call per agent,
+# and type checks are inline ``isinstance`` tests that call these only to
+# build the error: fields are read once per agent, so one more call per agent
+# or field is a measurable share of parsing a large electorate. For the same
+# reason an agent's location string is built only on its error path. Element
+# types are checked where a pass over the elements already happens:
+# ``frozenset`` builds are wrapped in ``try`` (an unhashable element raises
+# TypeError), adc thresholds are type-checked with their range in
+# ``AdcInstance``, and an agent's ids and outcomes must lie in universes of
+# strings checked once per instance.
 #
 # Agent records are built with ``tuple.__new__``, which skips the argument
 # binding of the NamedTuple's generated ``__new__`` and gives the same record
@@ -143,36 +143,6 @@ def fraction_from_obj(obj, where) -> Fraction:
     raise ParseError(f"{where}: expected a rational")
 
 
-def _parse_adc_agent(obj, i, n):
-    try:
-        type_name = obj["type"]
-        conj, ii, names_rules, names_outcomes = core.AGENT_TYPES[type_name]
-        outcomes = obj["Y"]
-    except (KeyError, TypeError):
-        type_name, (conj, ii, names_rules, names_outcomes), (outcomes,) = _agent_head(obj, i, "Y")
-    r_t, r_delta = obj.get("R_t", _ABSENT), obj.get("R_delta", _ABSENT)
-    if not (isinstance(outcomes, list) and isinstance(r_t, list) and isinstance(r_delta, list)):
-        raise _not_list(f"agents[{i}]", Y=outcomes, R_t=r_t, R_delta=r_delta)
-    try:
-        outcomes, thresholds = frozenset(outcomes), frozenset(r_t)
-    except TypeError:
-        raise _unhashable(f"agents[{i}]", Y=outcomes, R_t=r_t) from None
-    if len(thresholds) < len(r_t) and not all(type(t) is int for t in r_t):
-        # An int absorbed an equal float or bool, which AdcInstance would reject alone.
-        raise ParseError(f"adc instance: agent {i} thresholds must be integers in [1, {n}]")
-    if r_delta:
-        where = f"agents[{i}]"
-        try:
-            thresholds |= {adc.threshold_of(fraction_from_obj(d, where), n) for d in r_delta}
-        except core.ValidationError as exc:
-            raise ParseError(f"{where}: {exc}") from None
-    if thresholds and not names_rules:
-        raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
-    if outcomes and not names_outcomes:
-        raise ParseError(f"agents[{i}]: type {type_name!r} must have no outcome set")
-    return _record(adc.AdcAgent, (thresholds, outcomes, conj, ii))
-
-
 def parse_adc(obj) -> adc.AdcInstance:
     n = _int_field(obj, "n", "adc instance")
     votes = _field(obj, "votes", "adc instance")
@@ -180,8 +150,35 @@ def parse_adc(obj) -> adc.AdcInstance:
         raise ParseError("adc instance: field 'votes' must be a string or a list")
     if len(votes) != n:
         raise ParseError(f"adc instance: expected {n} votes, got {len(votes)}")
-    agents = _list_field(obj, "agents", "adc instance")
-    agents = tuple(map(_parse_adc_agent, agents, range(len(agents)), repeat(n)))
+    agents = []
+    for i, a in enumerate(_list_field(obj, "agents", "adc instance")):
+        try:
+            type_name = a["type"]
+            conj, ii, names_rules, names_outcomes = core.AGENT_TYPES[type_name]
+            outcomes = a["Y"]
+        except (KeyError, TypeError):
+            type_name, (conj, ii, names_rules, names_outcomes), (outcomes,) = _agent_head(a, i, "Y")
+        r_t, r_delta = a.get("R_t", _ABSENT), a.get("R_delta", _ABSENT)
+        if not (isinstance(outcomes, list) and isinstance(r_t, list) and isinstance(r_delta, list)):
+            raise _not_list(f"agents[{i}]", Y=outcomes, R_t=r_t, R_delta=r_delta)
+        try:
+            outcomes, thresholds = frozenset(outcomes), frozenset(r_t)
+        except TypeError:
+            raise _unhashable(f"agents[{i}]", Y=outcomes, R_t=r_t) from None
+        if len(thresholds) < len(r_t) and not all(type(t) is int for t in r_t):
+            # An int absorbed an equal float or bool, which AdcInstance would reject alone.
+            raise ParseError(f"adc instance: agent {i} thresholds must be integers in [1, {n}]")
+        if r_delta:
+            where = f"agents[{i}]"
+            try:
+                thresholds |= {adc.threshold_of(fraction_from_obj(d, where), n) for d in r_delta}
+            except core.ValidationError as exc:
+                raise ParseError(f"{where}: {exc}") from None
+        if thresholds and not names_rules:
+            raise ParseError(f"agents[{i}]: type {type_name!r} must have no rule set")
+        if outcomes and not names_outcomes:
+            raise ParseError(f"agents[{i}]: type {type_name!r} must have no outcome set")
+        agents.append(_record(adc.AdcAgent, (thresholds, outcomes, conj, ii)))
     feasible = _set_field(obj, "feasible_t", "adc instance", None)
     if feasible is not None and len(feasible) < len(obj["feasible_t"]):
         # An int absorbs an equal float or bool: AdcInstance checks each listed element.

@@ -20,7 +20,7 @@ from acceptmax.core import (
     GenericInstance,
     RuleRef,
     SatisfyingSpec,
-    substitute_absolute_disjunctivist,
+    substitute_absolute_disjunctivists,
 )
 
 def cli_child_env() -> dict:
@@ -83,10 +83,10 @@ def random_generic_instance(rng: random.Random) -> GenericInstance:
     )
 
 
-def substituted(agent: SatisfyingSpec, instance: GenericInstance) -> SatisfyingSpec:
-    """The substitute (R', Y') as an absolute-disjunctive spec, for ``core.accepts``."""
-    rule_ids, outcomes = substitute_absolute_disjunctivist(agent, instance.rule_value)
-    return SatisfyingSpec(rule_ids=rule_ids, outcomes=outcomes)
+def substituted(agents, instance: GenericInstance) -> list:
+    """Each agent's substitute (R', Y') as an absolute-disjunctive spec, for ``core.accepts``."""
+    pairs = substitute_absolute_disjunctivists(agents, instance.rule_value)
+    return [SatisfyingSpec(rule_ids=rule_ids, outcomes=outcomes) for rule_ids, outcomes in pairs]
 
 
 # ---------------------------------------------------------------------------

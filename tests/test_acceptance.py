@@ -143,8 +143,7 @@ def test_criterion_3_substitution_equivalence(report_line):
     for seed in range(instances):
         inst = random_generic_instance(random.Random(seed))
         decisions = inst.feasible_decisions()
-        for agent in inst.agents:
-            sub = substituted(agent, inst)
+        for agent, sub in zip(inst.agents, substituted(inst.agents, inst)):
             if any(
                 accepts(agent, d, inst) != accepts(sub, d, inst) for d in decisions
             ):

@@ -150,10 +150,10 @@ def test_decision_bits_match_threshold_reference(n):
     for votes_p in range(n + 1):
         decisions = adc_decisions(votes_p, feasible)
         assert [t for t, _ in decisions] == list(threshold_family(n))
-        score = _mask_scorer(n, threshold_outcomes(n, votes_p))
+        outcome_of = threshold_outcomes(n, votes_p)
         for name in AGENT_TYPES:
-            for a in full_type_options((name,), n):
-                mask = score(a)
+            options = full_type_options((name,), n)
+            for a, mask in zip(options, _mask_scorer(n, outcome_of, options), strict=True):
                 assert mask >> len(decisions) == 0
                 for j, (t, y) in enumerate(decisions):
                     bit = mask >> (len(decisions) - 1 - j) & 1
@@ -176,10 +176,10 @@ def test_rank_cap_keeps_the_full_listings_options(n):
             for votes_p in range(n + 1):
                 outcome_of, capped = class_options(class_id, n, votes_p, k, capped_listing)
                 _, full = class_options(class_id, n, votes_p, k, full_listing)
-                score = _mask_scorer(n, outcome_of)
 
                 def kept(opts):
-                    return _pareto_kept([(score(a), a) for a in opts], len(family))
+                    scored = zip(_mask_scorer(n, outcome_of, opts), opts)
+                    return _pareto_kept(scored, len(family))
 
                 for vote, capped_here, full_here in zip(OUTCOMES, capped, full):
                     assert kept(capped_here) == kept(full_here), (class_id, k, votes_p, vote)

@@ -5,6 +5,7 @@ import copy
 import gc
 import hashlib
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -946,6 +947,15 @@ MALFORMED = {
         {**ADC_II_DISJ, "votes": "ppx"},
         _error_line("adc instance: votes must be 'r' or 'p'"),
     ),
+    # The votes are checked as one set: an unhashable vote is no outcome either.
+    "adc vote list": (
+        {**ADC_II_DISJ, "votes": [["p"], "p", "r"]},
+        _error_line("adc instance: votes must be 'r' or 'p'"),
+    ),
+    "adc vote number": (
+        {**ADC_II_DISJ, "votes": [1, "p", "r"]},
+        _error_line("adc instance: votes must be 'r' or 'p'"),
+    ),
     "generic duplicate outcome": (
         {**GENERIC, "outcomes": ["A", "B", "A"]},
         _error_line("generic instance: duplicate outcome ids"),
@@ -969,6 +979,42 @@ def test_malformed_element_exits_2(capsys, write_json, case):
     code, out, err = run_cli(capsys, command, write_json(payload))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and message in err
+
+
+# Each kind of error the adc parser finds in one agent, in the order it checks
+# them: planted at agents 1 and 3, the error reported is agent 1's own.
+ADC_FIVE = {
+    "kind": "adc",
+    "n": 5,
+    "votes": "pprrp",
+    "agents": [{"type": "ii_disjunctivist", "Y": ["p"], "R_t": [3]} for _ in range(5)],
+}
+AGENT_ERRORS = {
+    "not an object": lambda payload, i: _agent_replaced(payload, i, ["x"]),
+    "no type": lambda payload, i: _without_field(payload, i, "type"),
+    "unknown type": lambda payload, i: _with_agent(payload, i, type="dictator"),
+    "no Y": lambda payload, i: _without_field(payload, i, "Y"),
+    "not a list": lambda payload, i: _with_agent(payload, i, R_t="3"),
+    "unhashable element": lambda payload, i: _with_agent(payload, i, Y=[["p"]]),
+    "float absorbed by equal int": lambda payload, i: _with_agent(payload, i, R_t=[2, 2.0]),
+    "bad R_delta": lambda payload, i: _with_agent(payload, i, R_delta=["abc"]),
+    "set the type may not fill": lambda payload, i: _with_agent(
+        payload, i, type="ii_proceduralist"
+    ),
+}
+
+
+@pytest.mark.parametrize("first, second", itertools.permutations(AGENT_ERRORS, 2))
+def test_adc_parser_names_the_lowest_bad_agent(first, second):
+    alone = AGENT_ERRORS[first](ADC_FIVE, 1)
+    both = AGENT_ERRORS[second](alone, 3)
+    with pytest.raises(serialize.ParseError) as expected:
+        serialize.parse_instance(alone)
+    message = str(expected.value)
+    assert message.startswith(("agents[1]: ", "adc instance: agent 1 ")), message
+    with pytest.raises(serialize.ParseError) as planted:
+        serialize.parse_instance(both)
+    assert str(planted.value) == message
 
 
 # Files no instance can be read from, rejected before their kind is looked at.

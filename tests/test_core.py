@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acceptmax.adc import AdcAgent, AdcInstance, adc_to_generic
+from acceptmax.adc import AdcAgent, AdcInstance, adc_to_generic, rule_threshold
 from acceptmax.amendment import AmendmentInstance, VotePolicy
 from acceptmax.core import (
+    AGENT_TYPES,
     Decision,
     GenericInstance,
     RuleRef,
@@ -20,7 +21,7 @@ from acceptmax.core import (
     accepts,
     max_accept,
     oracle_max_accept,
-    substitute_absolute_disjunctivist,
+    substitute_absolute_disjunctivists,
 )
 
 from conftest import loosened, random_adc_instance, random_generic_instance, substituted
@@ -376,23 +377,68 @@ class TestSubstitution:
     def test_absolute_disjunctive_is_identity(self):
         inst = make_instance([spec(R={"r1"}, Y={"B"})])
         agent = inst.agents[0]
-        rule_ids, outcomes = substitute_absolute_disjunctivist(agent, inst.rule_value)
+        [(rule_ids, outcomes)] = substitute_absolute_disjunctivists(inst.agents, inst.rule_value)
         assert rule_ids is agent.rule_ids and outcomes is agent.outcomes
 
     def test_ii_disjunctive_collapses_to_realized(self):
         inst = make_instance([spec(R={"r2"}, Y={"A"}, ii=True)])
-        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst.rule_value)
+        [(rule_ids, outcomes)] = substitute_absolute_disjunctivists(inst.agents, inst.rule_value)
         assert outcomes == {"A", "B"} and not rule_ids
 
     def test_ii_conjunctive_intersects_realized(self):
         inst = make_instance([spec(R={"r2"}, Y={"A"}, conjunctive=True, ii=True)])
-        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst.rule_value)
+        [(rule_ids, outcomes)] = substitute_absolute_disjunctivists(inst.agents, inst.rule_value)
         assert outcomes == frozenset() and not rule_ids
 
     def test_absolute_conjunctive_filters_rules(self):
         inst = make_instance([spec(R={"r1", "r2"}, Y={"A"}, conjunctive=True)])
-        rule_ids, outcomes = substitute_absolute_disjunctivist(inst.agents[0], inst.rule_value)
+        [(rule_ids, outcomes)] = substitute_absolute_disjunctivists(inst.agents, inst.rule_value)
         assert rule_ids == {"r1"} and not outcomes
+
+    def test_population_keeps_agent_order(self):
+        agents = [
+            spec(R={"r1", "r2"}, Y={"A"}, conjunctive=True),
+            spec(R={"r2"}, Y={"A"}, ii=True),
+            spec(Y={"C"}),
+            spec(R={"r3"}, Y={"B"}, conjunctive=True, ii=True),
+        ]
+        inst = make_instance(agents)
+        assert substitute_absolute_disjunctivists(inst.agents, inst.rule_value) == [
+            ({"r1"}, frozenset()),
+            (frozenset(), {"A", "B"}),
+            (frozenset(), {"C"}),
+            (frozenset(), frozenset()),
+        ]
+
+    def test_no_agents_give_no_pairs(self):
+        assert substitute_absolute_disjunctivists((), make_instance(THREE_AGENTS).rule_value) == []
+
+    def test_population_matches_each_agent_alone_and_accepts(self):
+        # Random mixed populations, generic and adc (bridged to decide with
+        # ``accepts``): the population's pairs are the agents' pairs taken one
+        # at a time, and each pair accepts (r, y) exactly when ``accepts`` does.
+        kinds = ["conseq", "abs_disj", "abs_conj", "ii_disj", "ii_conj"]
+        checks = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            generic = random_generic_instance(rng)
+            n = rng.randint(2, 7)
+            by_kind = [random_adc_instance(rng, n, kind) for kind in kinds]
+            mixed = AdcInstance(
+                by_kind[0].votes, [rng.choice(by_kind).agents[i] for i in range(n)]
+            )
+            for inst, reference in ((generic, generic), (mixed, adc_to_generic(mixed))):
+                values = inst.rule_value
+                pairs = substitute_absolute_disjunctivists(inst.agents, values)
+                alone = [substitute_absolute_disjunctivists([a], values) for a in inst.agents]
+                assert [[pair] for pair in pairs] == alone
+                for d in reference.feasible_decisions():
+                    rule = d.rule.id if inst is generic else rule_threshold(d.rule.id)
+                    for (rule_ids, outcomes), agent in zip(pairs, reference.agents):
+                        through_pair = d.outcome in outcomes or rule in rule_ids
+                        assert through_pair == accepts(agent, d, reference), (seed, agent, d)
+                        checks += 1
+        assert checks > 4_000
 
 
 class TestMechanisms:
@@ -410,7 +456,7 @@ class TestMechanisms:
             spec(Y={"B"}),
         )
         inst = make_instance(agents)
-        substitutes = make_instance([substituted(a, inst) for a in agents])
+        substitutes = make_instance(substituted(agents, inst))
         assert max_accept(inst) == max_accept(substitutes)
 
     def test_all_types_mixed_matches_oracle(self):
@@ -478,8 +524,7 @@ instances = st.integers(min_value=0, max_value=10**9).map(
 @settings(max_examples=300, deadline=None)
 @given(instances)
 def test_substitution_preserves_acceptance(inst):
-    for agent in inst.agents:
-        sub = substituted(agent, inst)
+    for agent, sub in zip(inst.agents, substituted(inst.agents, inst)):
         for d in inst.feasible_decisions():
             assert accepts(agent, d, inst) == accepts(sub, d, inst)
 
@@ -487,9 +532,8 @@ def test_substitution_preserves_acceptance(inst):
 @settings(max_examples=300, deadline=None)
 @given(instances)
 def test_substitution_idempotent(inst):
-    for agent in inst.agents:
-        sub = substituted(agent, inst)
-        assert substituted(sub, inst) == sub
+    subs = substituted(inst.agents, inst)
+    assert substituted(subs, inst) == subs
 
 
 @settings(max_examples=300, deadline=None)
@@ -556,9 +600,8 @@ def test_substitution_preserves_acceptance_on_small_models():
     checks = 0
     for inst, R, Y in small_models():
         decisions = inst.feasible_decisions()
-        for flags in facts:
-            agent = spec(R, Y, *flags)
-            sub = substituted(agent, inst)
+        agents = [spec(R, Y, *flags) for flags in facts]
+        for flags, agent, sub in zip(facts, agents, substituted(agents, inst)):
             for d in decisions:
                 y = d.outcome
                 realized = any(inst.rule_value[r] == y for r in R)
@@ -571,9 +614,9 @@ def test_substitution_preserves_acceptance_on_small_models():
 
 def test_substitution_idempotent_on_small_models():
     for inst, R, Y in small_models():
-        for flags in itertools.product((False, True), repeat=2):
-            sub = substituted(spec(R, Y, *flags), inst)
-            assert substituted(sub, inst) == sub
+        agents = [spec(R, Y, *flags) for flags in itertools.product((False, True), repeat=2)]
+        subs = substituted(agents, inst)
+        assert substituted(subs, inst) == subs
 
 
 def test_conjunctive_acceptance_within_disjunctive_on_small_models():
@@ -583,6 +626,50 @@ def test_conjunctive_acceptance_within_disjunctive_on_small_models():
             conj, disj = spec(R, Y, True, ii), spec(R, Y, False, ii)
             for d in decisions:
                 assert not accepts(conj, d, inst) or accepts(disj, d, inst), (conj, d)
+
+
+# The type order of the seven ``AGENT_TYPES``: row type A, column type B, and
+# "x" where, for every (R, Y) both types may fill, every decision A accepts B
+# accepts too. Decided with ``accepts`` over the small-model universe above,
+# which realizes every feasible combination of the facts a, b and c; an empty
+# R forces b and c false, an empty Y forces a false. Types whose only shared
+# sets are empty ones (a consequentialist and a proceduralist) accept nothing
+# there, so each includes the other. The same table is in README.
+TYPE_ORDER = {
+    "consequentialist":       "x x x x . x .",
+    "absolute_proceduralist": "x x x x . x .",
+    "ii_proceduralist":       "x . x . . x .",
+    "absolute_disjunctivist": "x x x x . x .",
+    "absolute_conjunctivist": "x x x x x x x",
+    "ii_disjunctivist":       "x . x . . x .",
+    "ii_conjunctivist":       "x x x x . x x",
+}
+
+
+def test_type_order_on_small_models():
+    names = list(AGENT_TYPES)
+    included = {(a, b): True for a in names for b in names}
+    compared = set()
+    inst = None
+    for model, R, Y in small_models():
+        if model is not inst:
+            inst, decisions = model, model.feasible_decisions()
+        accepted = {}
+        for name, (conj, ii, names_rules, names_outcomes) in AGENT_TYPES.items():
+            if (names_rules or not R) and (names_outcomes or not Y):
+                agent = spec(R, Y, conj, ii)
+                accepted[name] = sum(
+                    1 << j for j, d in enumerate(decisions) if accepts(agent, d, inst)
+                )
+        for a, mask in accepted.items():
+            for b in accepted:
+                compared.add((a, b))
+                if included[a, b] and mask & ~accepted[b]:
+                    included[a, b] = False
+    assert len(compared) == len(names) ** 2
+    assert list(TYPE_ORDER) == names
+    table = {a: " ".join("x" if included[a, b] else "." for b in names) for a in names}
+    assert table == TYPE_ORDER
 
 
 adc_instances = st.builds(
