@@ -12,6 +12,10 @@ Thresholds are kept as integers throughout so every comparison is exact;
 the conventional fractional threshold of ``t`` is ``(t - 1) / n``.
 ``threshold_outcomes`` is the one statement of the supermajority rule, and
 an instance's feasible thresholds are ordered by ``core.tie_break_order``.
+Both ``core.max_accept`` and the oracle ``core.oracle_max_accept`` read an
+``AdcInstance`` as it is, a threshold standing for a rule. ``adc_to_generic``
+restates an instance in the generic model only for cross-checks: the
+benchmark's solve check, acceptance criterion 1 and the tests.
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ class AdcInstance(FrozenValue):
 
     @cached_property
     def rule_value(self) -> dict:
-        """Threshold -> outcome, built once: ``max_accept`` tallies with it, the bridge reads it."""
+        """Threshold -> outcome, built once: both maximizers and the bridge read it."""
         return threshold_outcomes(self.n, self.votes_p)
 
     def feasible_rules(self) -> list:
@@ -168,7 +172,11 @@ def threshold_outcomes(n: int, votes_p: int) -> dict:
 
 
 def adc_to_generic(instance: AdcInstance) -> GenericInstance:
-    """The same instance in the generic model, which only the oracle needs.
+    """The same instance in the generic model, which only cross-checks need.
+
+    No ``solve`` path calls it. The benchmark's solve check, acceptance
+    criterion 1 and the tests run the oracle on the bridged instance, so the
+    threshold-space oracle is checked against the generic one.
 
     The rule universe covers every threshold an agent may reference,
     including sub-majority ones; only the instance's feasible family

@@ -34,8 +34,8 @@ EXIT_PIPE = 141
 def cmd_solve(args) -> int:
     """Solve one instance file, with the cyclic garbage collector paused.
 
-    ``auto`` tallies the loaded instance as it is; only ``oracle`` bridges an
-    adc instance to the generic model.
+    Both mechanisms read the loaded instance as it is: an adc instance is
+    decided in threshold space, and neither bridges it to the generic model.
 
     Loading and tallying a large electorate allocates several objects per
     agent, and each allocation threshold crossed makes the collector rescan
@@ -55,9 +55,7 @@ def cmd_solve(args) -> int:
         if not isinstance(instance, (adc.AdcInstance, core.GenericInstance)):
             raise serialize.ParseError("solve expects an adc or generic instance")
         if args.mechanism == "oracle":
-            is_adc = isinstance(instance, adc.AdcInstance)
-            generic = adc.adc_to_generic(instance) if is_adc else instance
-            payload = serialize.oracle_result_to_dict(core.oracle_max_accept(generic), instance)
+            payload = serialize.oracle_result_to_dict(core.oracle_max_accept(instance), instance)
         else:
             payload = serialize.solve_report_to_dict(core.max_accept(instance), instance)
         print(serialize.dumps(payload))

@@ -17,7 +17,8 @@ Acceptance has one closed form, the substitution
 order, the absolute disjunctivist (R', Y') that accepts what it accepts.
 ``max_accept`` calls it once per instance and ``bounds`` once per vote count
 to score agent options. ``accepts`` restates the definition only as the
-oracle's reference, deciding each agent once per decision.
+oracle's reference, deciding each agent once per decision; the rule it
+tests is a ``rule_value`` key, so it reads generic and adc agents alike.
 ``tie_break_order`` is both maximizers' one tie-break.
 
 Equal fields give equal values with equal hashes, and no field can be
@@ -248,10 +249,6 @@ class GenericInstance(FrozenValue):
     def rule_ref(self, rule_id: str) -> RuleRef:
         return RuleRef(rule_id, self.rule_value[rule_id])
 
-    def feasible_decisions(self) -> list:
-        """All feasible decisions in tie-break order (see ``feasible_rules``)."""
-        return [Decision(r, r.value_at_profile) for r in map(self.rule_ref, self.feasible_rules())]
-
 
 class SolveReport(NamedTuple):
     """Chosen decision plus exactly who accepts it."""
@@ -266,19 +263,25 @@ class OracleResult(NamedTuple):
     """Brute-force result: the best report and the count for every feasible decision."""
 
     report: SolveReport
-    tally: tuple  # ((Decision, count), ...) in feasible_decisions() order
+    tally: tuple  # ((Decision, count), ...) in feasible_rules() order
 
 
 def accepts(agent: SatisfyingSpec, decision: Decision, instance: GenericInstance) -> bool:
-    """Whether the agent accepts the decision, per the agent's type flags."""
+    """Whether the agent accepts the decision, per the agent's type flags.
+
+    The agent is read by position, as ``substitute_absolute_disjunctivists``
+    reads it, so a ``SatisfyingSpec`` and an ``adc.AdcAgent`` both work. The
+    decision's rule id is a key of ``instance.rule_value``: a rule id, or an
+    adc threshold.
+    """
+    rules, outcomes, conjunctive, indifferent = agent
     y = decision.outcome
-    outcome_ok = y in agent.outcomes
-    if agent.implementation_indifferent:
-        values = instance.rule_value
-        rule_ok = any(values[rid] == y for rid in agent.rule_ids)
+    outcome_ok = y in outcomes
+    if indifferent:
+        rule_ok = y in map(instance.rule_value.__getitem__, rules)
     else:
-        rule_ok = decision.rule.id in agent.rule_ids
-    if agent.conjunctive:
+        rule_ok = decision.rule.id in rules
+    if conjunctive:
         return outcome_ok and rule_ok
     return outcome_ok or rule_ok
 
@@ -373,20 +376,30 @@ def max_accept(instance) -> SolveReport:
     return _report(instance, Decision(rule=instance.rule_ref(best), outcome=y), accepted)
 
 
-def oracle_max_accept(instance: GenericInstance) -> OracleResult:
+def oracle_max_accept(instance) -> OracleResult:
     """Enumerate every feasible decision and tally acceptance for each.
 
-    The definitional solver ``max_accept`` is checked against. Each agent
-    is decided with ``accepts`` once per decision, and the report is the
-    first maximizer's accepters in ``feasible_decisions()`` order.
+    The definitional solver ``max_accept`` is checked against. It reads a
+    ``GenericInstance`` or an ``adc.AdcInstance`` as ``max_accept`` does, so
+    an adc instance is decided in threshold space, without a bridge. Each
+    agent is decided with ``accepts`` once per decision (r, y), where r is a
+    ``rule_value`` key, and the report is the first maximizer's accepters in
+    ``feasible_rules()`` order. The tally and the report name each rule by
+    ``rule_ref``, so an adc threshold ``t`` reads as the rule ``t<t>``.
     """
+    values = instance.rule_value
+    agents = instance.agents
     tally = []
     best = None
-    for decision in instance.feasible_decisions():
+    for r in instance.feasible_rules():
+        y = values[r]
+        named = Decision(instance.rule_ref(r), y)
+        # A generic rule is named by its key; an adc threshold t by ``t<t>``.
+        decision = named if named.rule.id == r else Decision(RuleRef(r, y), y)
         accepted = frozenset(
-            i for i, agent in enumerate(instance.agents) if accepts(agent, decision, instance)
+            i for i, agent in enumerate(agents) if accepts(agent, decision, instance)
         )
-        tally.append((decision, len(accepted)))
+        tally.append((named, len(accepted)))
         if best is None or len(accepted) > len(best[1]):
-            best = (decision, accepted)
+            best = (named, accepted)
     return OracleResult(report=_report(instance, *best), tally=tuple(tally))

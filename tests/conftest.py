@@ -15,8 +15,14 @@ from acceptmax.adc import (
     majority_threshold,
     threshold_family,
 )
+from acceptmax.amendment import (
+    amend_iterative,
+    amend_one_step,
+    check_universal_acceptance,
+)
 from acceptmax.bounds import CLASSES, class_options, shared_options
 from acceptmax.core import (
+    Decision,
     GenericInstance,
     RuleRef,
     SatisfyingSpec,
@@ -81,6 +87,12 @@ def random_generic_instance(rng: random.Random) -> GenericInstance:
         feasible_rule_ids=feasible_rule_ids,
         agents=tuple(agents),
     )
+
+
+def feasible_decisions(instance) -> list:
+    """The instance's feasible decisions in ``feasible_rules()`` order, each rule named by ``rule_ref``."""
+    refs = map(instance.rule_ref, instance.feasible_rules())
+    return [Decision(ref, ref.value_at_profile) for ref in refs]
 
 
 def substituted(agents, instance: GenericInstance) -> list:
@@ -196,3 +208,24 @@ def enumerate_instances(class_id: str, n: int, k: int | None = None):
             continue
         for agents in itertools.product(*per_agent):
             yield AdcInstance(votes=votes, agents=agents)
+
+
+def amendment_guarantees_hold(inst, h: int) -> bool:
+    """Acceptance criterion 5's conditions on one amendment instance with stable point ``h``.
+
+    Every step of the iterative run is universally accepted, and the run ends
+    at ``h`` from a status quo at or below it, else stays put. The one-step
+    run finds ``h``; from below ``h`` every agent accepts it, and from at or
+    below ``h`` it lands where the iterative run does.
+    """
+    sq = inst.status_quo
+    trace = amend_iterative(inst)
+    one = amend_one_step(inst)
+    expected_final = h if sq <= h else sq
+    return (
+        check_universal_acceptance(trace, inst)
+        and trace.final_outcome == expected_final
+        and one.stable == h
+        and (sq >= h or len(one.accepted_by) == inst.n)
+        and (sq > h or one.outcome == trace.final_outcome == h)
+    )

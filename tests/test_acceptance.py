@@ -24,14 +24,7 @@ from acceptmax.adc import (
     adc_to_generic,
     threshold_family,
 )
-from acceptmax.amendment import (
-    AmendmentInstance,
-    VotePolicy,
-    amend_iterative,
-    amend_one_step,
-    check_universal_acceptance,
-    h_threshold,
-)
+from acceptmax.amendment import AmendmentInstance, VotePolicy, h_threshold
 from acceptmax.bounds import _options_at, shared_options, worst_case_rate
 from acceptmax.core import (
     accepts,
@@ -42,7 +35,9 @@ from acceptmax.core import (
 from conftest import (
     adc_accepts,
     adc_decisions,
+    amendment_guarantees_hold,
     cli_child_env,
+    feasible_decisions,
     homogeneous_suite,
     majority_count,
     random_generic_instance,
@@ -142,7 +137,7 @@ def test_criterion_3_substitution_equivalence(report_line):
     instances = 10_000
     for seed in range(instances):
         inst = random_generic_instance(random.Random(seed))
-        decisions = inst.feasible_decisions()
+        decisions = feasible_decisions(inst)
         for agent, sub in zip(inst.agents, substituted(inst.agents, inst)):
             if any(
                 accepts(agent, d, inst) != accepts(sub, d, inst) for d in decisions
@@ -207,17 +202,7 @@ def test_criterion_5_amendment_guarantees(report_line):
             h = h_threshold(peaks, n)
             for sq in family:
                 for policy in VotePolicy:
-                    inst = AmendmentInstance(peaks, sq, policy)
-                    trace = amend_iterative(inst)
-                    one = amend_one_step(inst)
-                    expected_final = h if sq <= h else sq
-                    ok = (
-                        check_universal_acceptance(trace, inst)
-                        and trace.final_outcome == expected_final
-                        and one.stable == h
-                        and (sq >= h or len(one.accepted_by) == n)
-                        and (sq > h or one.outcome == trace.final_outcome == h)
-                    )
+                    ok = amendment_guarantees_hold(AmendmentInstance(peaks, sq, policy), h)
                     runs += 1
                     failures += not ok
     report_line(

@@ -22,7 +22,7 @@ from acceptmax.adc import (
     threshold_of,
     threshold_outcomes,
 )
-from acceptmax.bounds import _realizable
+from acceptmax.bounds import _options_at, _realizable, shared_options
 from acceptmax.core import (
     GenericInstance,
     RuleRef,
@@ -34,6 +34,7 @@ from acceptmax.core import (
 from conftest import (
     adc_accepts,
     adc_decisions,
+    homogeneous_suite,
     loosened,
     random_adc_instance,
     reference_outcome,
@@ -431,6 +432,51 @@ class TestThresholdTally:
         expected = STATUS_QUO if votes_p < 6 else PROPOSAL
         assert report.decision.rule == RuleRef(f"t{t}", expected)
         assert report.acceptance_count == 6
+
+
+class TestThresholdOracle:
+    """``oracle_max_accept`` on an ``AdcInstance`` gives the bridged instance's whole result.
+
+    The report and the tally, rule ids ``t<t>`` included: the oracle decides
+    each agent with ``accepts`` in threshold space, and the bridge restates
+    the same instance in the generic model.
+    """
+
+    TYPES = (  # acceptance criterion 1's five
+        "consequentialist",
+        "absolute_disjunctivist",
+        "absolute_conjunctivist",
+        "ii_disjunctivist",
+        "ii_conjunctivist",
+    )
+
+    def test_exhaustive_homogeneous_suites(self):
+        checked = 0
+        for name in self.TYPES:
+            for n in (2, 3):
+                def options_for(votes_p, vote, listing=shared_options((name,), n), n=n):
+                    return _options_at(listing, n, votes_p)
+
+                for inst in homogeneous_suite(n, options_for):
+                    assert oracle_max_accept(inst) == oracle_max_accept(adc_to_generic(inst))
+                    checked += 1
+        assert checked == 22_236
+
+    def test_mixed_sparse_feasible_sets(self):
+        sub_majority = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            n = rng.randint(2, 7)
+            per_kind = [random_adc_instance(rng, n, kind) for kind in KINDS]
+            family = list(threshold_family(n))
+            inst = AdcInstance(
+                per_kind[0].votes,
+                tuple(rng.choice(per_kind).agents[i] for i in range(n)),
+                frozenset(rng.sample(family, rng.randint(1, len(family)))),
+            )
+            sub_majority += any(min(a.thresholds, default=n) < family[0] for a in inst.agents)
+            assert oracle_max_accept(inst) == oracle_max_accept(adc_to_generic(inst)), seed
+        assert sub_majority > 100
 
 
 class TestBridge:

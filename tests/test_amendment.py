@@ -28,6 +28,8 @@ from acceptmax.adc import (
 )
 from acceptmax.core import ValidationError, max_accept
 
+from conftest import amendment_guarantees_hold
+
 POLICIES = list(VotePolicy)
 
 
@@ -169,6 +171,25 @@ class TestUniversalAcceptance:
             trace = amend_iterative(inst)
             assert check_universal_acceptance(trace, inst)
             assert trace.final_outcome == h_threshold(inst.peaks, 5)
+
+    def test_guarantees_over_peak_multisets(self):
+        # Acceptance criterion 5's conditions past its n = 7, one sorted peak
+        # vector per multiset of peaks, every status quo and vote policy. The
+        # procedure treats agents alike (profiles are induced per peak, the
+        # rule reads only the count of p votes, h only counts peaks), so a
+        # multiset stands for its orderings; criterion 5 walks every ordered
+        # vector at n <= 7.
+        runs = failures = 0
+        for n in range(8, 11):
+            family = list(threshold_family(n))
+            for peaks in itertools.combinations_with_replacement(family, n):
+                h = h_threshold(peaks, n)
+                for sq in family:
+                    for policy in POLICIES:
+                        ok = amendment_guarantees_hold(AmendmentInstance(peaks, sq, policy), h)
+                        runs += 1
+                        failures += not ok
+        assert (runs, failures) == (27_720, 0)
 
 
 def ii_disjunctivist(peak, vote):

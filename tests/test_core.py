@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acceptmax.adc import AdcAgent, AdcInstance, adc_to_generic, rule_threshold
+from acceptmax.adc import AdcAgent, AdcInstance, adc_to_generic
 from acceptmax.amendment import AmendmentInstance, VotePolicy
 from acceptmax.core import (
     AGENT_TYPES,
@@ -24,7 +24,13 @@ from acceptmax.core import (
     substitute_absolute_disjunctivists,
 )
 
-from conftest import loosened, random_adc_instance, random_generic_instance, substituted
+from conftest import (
+    feasible_decisions,
+    loosened,
+    random_adc_instance,
+    random_generic_instance,
+    substituted,
+)
 
 
 def make_instance(agents, rules=None, outcomes=("A", "B", "C")):
@@ -94,15 +100,16 @@ class TestModel:
                 agents=(spec(),),
             )
 
-    def test_feasible_decisions_canonical_order(self):
+    def test_feasible_rules_canonical_order(self):
         inst = make_instance([spec()])
-        keys = [(d.outcome, d.rule.id) for d in inst.feasible_decisions()]
+        keys = [(inst.rule_value[r], r) for r in inst.feasible_rules()]
         assert keys == [("A", "r1"), ("A", "r3"), ("B", "r2")]
         # Declared order, not string order: outcomes first, then rules.
         rules = (RuleRef("r10", "B"), RuleRef("r9", "A"), RuleRef("r2", "B"))
         inst = make_instance([spec()], rules=rules, outcomes=("B", "A"))
-        keys = [(d.outcome, d.rule.id) for d in inst.feasible_decisions()]
+        keys = [(inst.rule_value[r], r) for r in inst.feasible_rules()]
         assert keys == [("B", "r10"), ("B", "r2"), ("A", "r9")]
+        assert [inst.rule_ref(r) for r in inst.feasible_rules()] == [rules[0], rules[2], rules[1]]
         # Outcome order C, A, B differs from rule order; A and r5 are infeasible.
         rules = tuple(RuleRef(f"r{i}", y) for i, y in enumerate("ABCBC", start=1))
         inst = GenericInstance(
@@ -353,7 +360,7 @@ class TestOracle:
         assert result.report.acceptance_count == 2
         tally = {(d.rule.id, d.outcome): c for d, c in result.tally}
         assert tally == {("r1", "A"): 2, ("r2", "B"): 2, ("r3", "A"): 1}
-        # Tie-break: first maximizer in feasible_decisions() order.
+        # Tie-break: first maximizer in feasible_rules() order.
         assert result.report.decision.rule.id == "r1"
 
     def test_single_agent_single_rule(self):
@@ -414,9 +421,10 @@ class TestSubstitution:
         assert substitute_absolute_disjunctivists((), make_instance(THREE_AGENTS).rule_value) == []
 
     def test_population_matches_each_agent_alone_and_accepts(self):
-        # Random mixed populations, generic and adc (bridged to decide with
-        # ``accepts``): the population's pairs are the agents' pairs taken one
-        # at a time, and each pair accepts (r, y) exactly when ``accepts`` does.
+        # Random mixed populations, generic and adc (decided by ``accepts`` in
+        # threshold space): the population's pairs are the agents' pairs taken
+        # one at a time, and each pair accepts (r, y) exactly when ``accepts``
+        # does, r a ``rule_value`` key.
         kinds = ["conseq", "abs_disj", "abs_conj", "ii_disj", "ii_conj"]
         checks = 0
         for seed in range(300):
@@ -427,16 +435,16 @@ class TestSubstitution:
             mixed = AdcInstance(
                 by_kind[0].votes, [rng.choice(by_kind).agents[i] for i in range(n)]
             )
-            for inst, reference in ((generic, generic), (mixed, adc_to_generic(mixed))):
+            for inst in (generic, mixed):
                 values = inst.rule_value
                 pairs = substitute_absolute_disjunctivists(inst.agents, values)
                 alone = [substitute_absolute_disjunctivists([a], values) for a in inst.agents]
                 assert [[pair] for pair in pairs] == alone
-                for d in reference.feasible_decisions():
-                    rule = d.rule.id if inst is generic else rule_threshold(d.rule.id)
-                    for (rule_ids, outcomes), agent in zip(pairs, reference.agents):
-                        through_pair = d.outcome in outcomes or rule in rule_ids
-                        assert through_pair == accepts(agent, d, reference), (seed, agent, d)
+                for r in inst.feasible_rules():
+                    d = Decision(RuleRef(r, values[r]), values[r])
+                    for (rule_ids, outcomes), agent in zip(pairs, inst.agents):
+                        through_pair = d.outcome in outcomes or r in rule_ids
+                        assert through_pair == accepts(agent, d, inst), (seed, agent, d)
                         checks += 1
         assert checks > 4_000
 
@@ -483,7 +491,7 @@ class TestMechanisms:
         inst = make_instance([spec(Y={"B"})], rules=rules, outcomes=("A", "B"))
         report = max_accept(inst)
         assert report.acceptance_count == 0
-        assert report.decision in inst.feasible_decisions()
+        assert report.decision in feasible_decisions(inst)
 
     def test_consequentialists_unanimity(self):
         inst = make_instance([spec(Y={"A"})] * 4)
@@ -525,7 +533,7 @@ instances = st.integers(min_value=0, max_value=10**9).map(
 @given(instances)
 def test_substitution_preserves_acceptance(inst):
     for agent, sub in zip(inst.agents, substituted(inst.agents, inst)):
-        for d in inst.feasible_decisions():
+        for d in feasible_decisions(inst):
             assert accepts(agent, d, inst) == accepts(sub, d, inst)
 
 
@@ -544,7 +552,7 @@ def test_disjunctive_acceptance_superset_of_conjunctive(inst):
                               agent.implementation_indifferent)
         conj = SatisfyingSpec(agent.rule_ids, agent.outcomes, True,
                               agent.implementation_indifferent)
-        for d in inst.feasible_decisions():
+        for d in feasible_decisions(inst):
             if accepts(conj, d, inst):
                 assert accepts(disj, d, inst)
 
@@ -599,7 +607,7 @@ def test_substitution_preserves_acceptance_on_small_models():
     facts = {flags: set() for flags in itertools.product((False, True), repeat=2)}
     checks = 0
     for inst, R, Y in small_models():
-        decisions = inst.feasible_decisions()
+        decisions = feasible_decisions(inst)
         agents = [spec(R, Y, *flags) for flags in facts]
         for flags, agent, sub in zip(facts, agents, substituted(agents, inst)):
             for d in decisions:
@@ -621,7 +629,7 @@ def test_substitution_idempotent_on_small_models():
 
 def test_conjunctive_acceptance_within_disjunctive_on_small_models():
     for inst, R, Y in small_models():
-        decisions = inst.feasible_decisions()
+        decisions = feasible_decisions(inst)
         for ii in (False, True):
             conj, disj = spec(R, Y, True, ii), spec(R, Y, False, ii)
             for d in decisions:
@@ -653,7 +661,7 @@ def test_type_order_on_small_models():
     inst = None
     for model, R, Y in small_models():
         if model is not inst:
-            inst, decisions = model, model.feasible_decisions()
+            inst, decisions = model, feasible_decisions(model)
         accepted = {}
         for name, (conj, ii, names_rules, names_outcomes) in AGENT_TYPES.items():
             if (names_rules or not R) and (names_outcomes or not Y):
