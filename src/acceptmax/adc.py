@@ -106,24 +106,33 @@ class AdcInstance(FrozenValue):
         family = frozenset(threshold_family(n))
         # None means the full family, which needs no check. A caller's set is
         # checked per element before freezing, since an int would absorb an
-        # equal float or bool.
+        # equal float or bool; any other iterable is read once, into a tuple.
         feasible = feasible_thresholds
         if feasible is None:
             feasible = family
-        elif not feasible or any(type(t) is not int or t not in family for t in feasible):
-            raise ValidationError("feasible thresholds must be a nonempty family subset")
+        else:
+            if type(feasible) is not frozenset:
+                feasible = tuple(feasible)
+            if not feasible or any(type(t) is not int or t not in family for t in feasible):
+                raise ValidationError("feasible thresholds must be a nonempty family subset")
         object.__setattr__(self, "feasible_thresholds", frozenset(feasible))
         if len(self.agents) != n:
             raise ValidationError("agent count must match vote count")
         # Types are checked per element: ``2.0`` and ``True`` equal and hash
         # like the ints ``2`` and ``1``, so a set test alone lets them in.
-        loose = []
+        loose = {}
         for idx, (thresholds, outcomes, _, indifferent) in enumerate(self.agents):
+            frozen = type(thresholds) is frozenset and type(outcomes) is frozenset
             try:
+                if not frozen:
+                    outcomes = tuple(outcomes)  # read once: checked and frozen alike
                 if not outcome_universe.issuperset(outcomes):
                     raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
             except TypeError:
                 raise ValidationError(f"agent {idx} outcomes must be hashable") from None
+            if not frozen:
+                thresholds = tuple(thresholds)
+                loose[idx] = thresholds, outcomes
             for t in thresholds:
                 if type(t) is not int or not 1 <= t <= n:
                     raise ValidationError(
@@ -135,8 +144,6 @@ class AdcInstance(FrozenValue):
                     f"agent {idx} is not implementation-indifferent; "
                     "thresholds must be feasible-family members"
                 )
-            if type(thresholds) is not frozenset or type(outcomes) is not frozenset:
-                loose.append(idx)
         if loose:
             object.__setattr__(self, "agents", freeze_agents(self.agents, loose, AdcAgent))
 
@@ -146,10 +153,11 @@ class AdcInstance(FrozenValue):
 
     @cached_property
     def rule_value(self) -> dict:
-        """Threshold -> outcome, built once: both maximizers and the bridge read it."""
+        """Threshold -> outcome, built on first read: unsolved instances, like witnesses, skip it."""
         return threshold_outcomes(self.n, self.votes_p)
 
-    def feasible_rules(self) -> list:
+    @cached_property
+    def feasible_rules(self) -> tuple:
         """The feasible thresholds in ``tie_break_order``: status quo first, then smallest ``t``."""
         return tie_break_order(self.outcomes, sorted(self.feasible_thresholds), self.rule_value)
 

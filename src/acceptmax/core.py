@@ -8,7 +8,8 @@ it produced ("implementation indifference").
 
 Since a single instance observes a single profile, rules are represented
 extensionally by the outcome they select on that profile; each instance
-owns that rule -> outcome lookup as its ``rule_value``. Everything here is
+owns that rule -> outcome lookup as its ``rule_value``, and its feasible
+rules in tie-break order as the tuple ``feasible_rules``. Everything here is
 an immutable value; all operations are pure functions and safe to call
 concurrently.
 
@@ -19,7 +20,8 @@ order, the absolute disjunctivist (R', Y') that accepts what it accepts.
 to score agent options. ``accepts`` restates the definition only as the
 oracle's reference, deciding each agent once per decision; the rule it
 tests is a ``rule_value`` key, so it reads generic and adc agents alike.
-``tie_break_order`` is both maximizers' one tie-break.
+``tie_break_order`` is both maximizers' one tie-break; each instance runs it
+once, and both maximizers read the order it stored.
 
 Equal fields give equal values with equal hashes, and no field can be
 assigned. No class here comes from the standard library's class-generating
@@ -37,8 +39,6 @@ the fields and then validates, and they never equal a tuple.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
@@ -52,9 +52,10 @@ class FrozenValue:
 
     A subclass lists its fields in ``_fields`` and sets them in ``__init__``
     through the instance ``__dict__`` (or ``object.__setattr__``), which
-    ``__setattr__`` does not guard; ``cached_property`` writes there too.
-    Values of the same class compare and hash by their fields, and compare
-    unequal to anything else.
+    ``__setattr__`` does not guard. Facts derived from the fields, such as
+    ``rule_value`` and ``feasible_rules``, are stored there once too, in
+    ``__init__`` or on first read. Values of the same class compare and hash
+    by their fields, and compare unequal to anything else.
     """
 
     def _values(self) -> tuple:
@@ -152,20 +153,22 @@ def _frozen(values, what: str) -> frozenset:
 
 
 def freeze_agents(agents, loose, record) -> tuple:
-    """``agents`` with the records at the indices ``loose`` rebuilt as ``record``s of frozensets.
+    """``agents`` with each record that ``loose`` indexes rebuilt as a ``record`` of frozensets.
 
     The instances accept tuple, list or set fields and store them this way,
     so the tally reads hashed sets whose repeated elements count once.
+    ``loose`` maps an index to the record's two sets as validation read
+    them, so a one-shot iterable is frozen with the elements it held.
     Records whose sets are already frozensets are kept as they are.
     """
     agents = list(agents)
-    for idx in loose:
-        rules, outcomes, conjunctive, indifferent = agents[idx]
+    for idx, (rules, outcomes) in loose.items():
+        _, _, conjunctive, indifferent = agents[idx]
         agents[idx] = record(frozenset(rules), frozenset(outcomes), conjunctive, indifferent)
     return tuple(agents)
 
 
-def tie_break_order(outcomes, rules, rule_value) -> list:
+def tie_break_order(outcomes, rules, rule_value) -> tuple:
     """``rules`` by their outcome's position in ``outcomes``, then as given; other rules left out.
 
     The one tie-break: both maximizers, on generic and adc instances alike,
@@ -176,11 +179,16 @@ def tie_break_order(outcomes, rules, rule_value) -> list:
         group = by_outcome.get(rule_value[r])
         if group is not None:
             group.append(r)
-    return [r for group in by_outcome.values() for r in group]
+    return tuple([r for group in by_outcome.values() for r in group])
 
 
 class GenericInstance(FrozenValue):
-    """One decision problem: universes, feasible subsets and the agents."""
+    """One decision problem: universes, feasible subsets and the agents.
+
+    Validation also stores two facts of the fields, which are not fields:
+    the rule id -> outcome lookup ``rule_value``, and ``feasible_rules``, the
+    ids of the feasible rules whose outcome is feasible in ``tie_break_order``.
+    """
 
     _fields = ("outcomes", "rules", "feasible_outcomes", "feasible_rule_ids", "agents")
 
@@ -218,33 +226,28 @@ class GenericInstance(FrozenValue):
             raise ValidationError("feasible rules outside the rule universe")
         if not self.agents:
             raise ValidationError("instance has no agents")
-        loose = []
+        loose = {}
         for idx, (rule_ids, outcomes, _, _) in enumerate(self.agents):
             try:
+                if type(rule_ids) is not frozenset or type(outcomes) is not frozenset:
+                    # Read once: a one-shot iterable is checked and frozen alike.
+                    rule_ids, outcomes = loose[idx] = tuple(rule_ids), tuple(outcomes)
                 if not rule_universe.issuperset(rule_ids):
                     raise ValidationError(f"agent {idx} references unknown rule ids")
                 if not outcome_universe.issuperset(outcomes):
                     raise ValidationError(f"agent {idx} references unknown outcomes")
             except TypeError:
                 raise ValidationError(f"agent {idx} sets must be hashable") from None
-            if type(rule_ids) is not frozenset or type(outcomes) is not frozenset:
-                loose.append(idx)
         if loose:
             object.__setattr__(self, "agents", freeze_agents(self.agents, loose, SatisfyingSpec))
-        if not self.feasible_rules():
-            raise ValidationError("no feasible decision exists")
-
-    @cached_property
-    def rule_value(self) -> dict:
-        return {r.id: r.value_at_profile for r in self.rules}
-
-    def feasible_rules(self) -> list:
-        """Ids of the feasible rules whose outcome is feasible, in ``tie_break_order``."""
-        return tie_break_order(
+        values = self.__dict__["rule_value"] = {r.id: r.value_at_profile for r in self.rules}
+        self.__dict__["feasible_rules"] = tie_break_order(
             [y for y in self.outcomes if y in self.feasible_outcomes],
             [r.id for r in self.rules if r.id in self.feasible_rule_ids],
-            self.rule_value,
+            values,
         )
+        if not self.feasible_rules:
+            raise ValidationError("no feasible decision exists")
 
     def rule_ref(self, rule_id: str) -> RuleRef:
         return RuleRef(rule_id, self.rule_value[rule_id])
@@ -256,14 +259,13 @@ class SolveReport(NamedTuple):
     decision: Decision
     accepted_by: frozenset
     acceptance_count: int
-    acceptance_rate: Fraction
 
 
 class OracleResult(NamedTuple):
     """Brute-force result: the best report and the count for every feasible decision."""
 
     report: SolveReport
-    tally: tuple  # ((Decision, count), ...) in feasible_rules() order
+    tally: tuple  # ((Decision, count), ...) in feasible_rules order
 
 
 def accepts(agent: SatisfyingSpec, decision: Decision, instance: GenericInstance) -> bool:
@@ -284,15 +286,6 @@ def accepts(agent: SatisfyingSpec, decision: Decision, instance: GenericInstance
     if conjunctive:
         return outcome_ok and rule_ok
     return outcome_ok or rule_ok
-
-
-def _report(instance: GenericInstance, decision: Decision, accepted: frozenset) -> SolveReport:
-    return SolveReport(
-        decision=decision,
-        accepted_by=accepted,
-        acceptance_count=len(accepted),
-        acceptance_rate=Fraction(len(accepted), instance.n),
-    )
 
 
 _EMPTY = frozenset()
@@ -337,15 +330,16 @@ def max_accept(instance) -> SolveReport:
 
     ``instance`` is a ``GenericInstance`` or an ``adc.AdcInstance``, read
     through ``agents``, ``outcomes``, the rule -> outcome lookup
-    ``rule_value``, ``feasible_rules()`` in ``tie_break_order``, ``rule_ref``
-    for the winner, and ``n``. A rule is a key of the lookup: a rule id, or
-    an adc threshold, so an adc instance is tallied without a bridge.
+    ``rule_value``, the tuple ``feasible_rules`` that each instance orders
+    once by ``tie_break_order``, and ``rule_ref`` for the winner. A rule is
+    a key of the lookup: a rule id, or an adc threshold, so an adc instance
+    is tallied without a bridge.
 
     Each agent is replaced by the absolute disjunctivist (R', Y') that
     accepts the same decisions, so a decision (r, y) is accepted by
     |{i : y in Y'_i}| + |{i : y not in Y'_i, r in R'_i}| agents. Both terms
     are tallied in one pass over the agents, straight from the two sets.
-    Ties go to the first maximizer in ``feasible_rules()`` order, as in
+    Ties go to the first maximizer in ``feasible_rules`` order, as in
     the oracle.
 
     The report comes from the same substituted pairs: agent i accepts the
@@ -365,7 +359,7 @@ def max_accept(instance) -> SolveReport:
                 if values[rid] not in outcomes:
                     rule_count[rid] += 1
     best, best_count = None, -1
-    for rid in instance.feasible_rules():
+    for rid in instance.feasible_rules:
         count = outcome_count[values[rid]] + rule_count[rid]
         if count > best_count:
             best, best_count = rid, count
@@ -373,7 +367,7 @@ def max_accept(instance) -> SolveReport:
     accepted = frozenset(
         i for i, (rule_ids, outcomes) in enumerate(pairs) if y in outcomes or best in rule_ids
     )
-    return _report(instance, Decision(rule=instance.rule_ref(best), outcome=y), accepted)
+    return SolveReport(Decision(instance.rule_ref(best), y), accepted, len(accepted))
 
 
 def oracle_max_accept(instance) -> OracleResult:
@@ -384,14 +378,14 @@ def oracle_max_accept(instance) -> OracleResult:
     an adc instance is decided in threshold space, without a bridge. Each
     agent is decided with ``accepts`` once per decision (r, y), where r is a
     ``rule_value`` key, and the report is the first maximizer's accepters in
-    ``feasible_rules()`` order. The tally and the report name each rule by
+    ``feasible_rules`` order. The tally and the report name each rule by
     ``rule_ref``, so an adc threshold ``t`` reads as the rule ``t<t>``.
     """
     values = instance.rule_value
     agents = instance.agents
     tally = []
     best = None
-    for r in instance.feasible_rules():
+    for r in instance.feasible_rules:
         y = values[r]
         named = Decision(instance.rule_ref(r), y)
         # A generic rule is named by its key; an adc threshold t by ``t<t>``.
@@ -402,4 +396,5 @@ def oracle_max_accept(instance) -> OracleResult:
         tally.append((named, len(accepted)))
         if best is None or len(accepted) > len(best[1]):
             best = (named, accepted)
-    return OracleResult(report=_report(instance, *best), tally=tuple(tally))
+    named, accepted = best
+    return OracleResult(SolveReport(named, accepted, len(accepted)), tuple(tally))

@@ -330,7 +330,7 @@ def solve_report_to_dict(report: core.SolveReport, instance) -> dict:
         "accepted_by": sorted(report.accepted_by),
         "count": report.acceptance_count,
         "n": instance.n,
-        "rate": fraction_to_dict(report.acceptance_rate),
+        "rate": fraction_to_dict(Fraction(report.acceptance_count, instance.n)),
     }
 
 

@@ -90,8 +90,8 @@ def random_generic_instance(rng: random.Random) -> GenericInstance:
 
 
 def feasible_decisions(instance) -> list:
-    """The instance's feasible decisions in ``feasible_rules()`` order, each rule named by ``rule_ref``."""
-    refs = map(instance.rule_ref, instance.feasible_rules())
+    """The instance's feasible decisions in ``feasible_rules`` order, each rule named by ``rule_ref``."""
+    refs = map(instance.rule_ref, instance.feasible_rules)
     return [Decision(ref, ref.value_at_profile) for ref in refs]
 
 

@@ -424,11 +424,11 @@ class TestThresholdTally:
             (agent(Y=OUTCOMES),) * 6,
         )
         family = list(threshold_family(6))
-        assert inst.feasible_rules() == (
+        assert inst.feasible_rules == tuple(
             [t for t in family if t > votes_p] + [t for t in family if t <= votes_p]
         )
         report = self.assert_as_bridged(inst)
-        t = inst.feasible_rules()[0]
+        t = inst.feasible_rules[0]
         expected = STATUS_QUO if votes_p < 6 else PROPOSAL
         assert report.decision.rule == RuleRef(f"t{t}", expected)
         assert report.acceptance_count == 6
@@ -510,7 +510,7 @@ class TestBridge:
             for feasible in subsets:
                 inst = AdcInstance(votes, (agent(),) * n, feasible)
                 generic = adc_to_generic(inst)
-                assert [rule_id(t) for t in inst.feasible_rules()] == generic.feasible_rules()
+                assert tuple(map(rule_id, inst.feasible_rules)) == generic.feasible_rules
 
     def test_sub_majority_thresholds_stay_infeasible(self):
         inst = AdcInstance(("p", "p", "r"), (agent(R={1}, ii=True),) * 3)

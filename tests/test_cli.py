@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,17 @@ class TestSolve:
             for key in ("decision", "accepted_by", "count"):
                 assert auto[key] == oracle[key]
             assert {k: auto["decision"][k] for k in decision} == decision
+
+    @pytest.mark.parametrize("payload", [ADC_T9_T10_TIE, GENERIC], ids=["adc", "generic"])
+    @pytest.mark.parametrize("mechanism", ["auto", "oracle"])
+    def test_rate_is_count_over_n_in_lowest_terms(self, capsys, write_json, payload, mechanism):
+        code, out, _ = run_cli(capsys, "solve", write_json(payload), "--mechanism", mechanism)
+        assert code == 0
+        report = json.loads(out)
+        rate = Fraction(report["count"], report["n"])
+        # Both payloads' counts share a factor with n, so the reduction is seen.
+        assert rate.denominator < report["n"]
+        assert report["rate"] == {"num": rate.numerator, "den": rate.denominator}
 
     def test_generic_instance(self, capsys, write_json):
         path = write_json(GENERIC)

@@ -4,7 +4,6 @@ import functools
 import inspect
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +21,7 @@ from acceptmax.core import (
     max_accept,
     oracle_max_accept,
     substitute_absolute_disjunctivists,
+    tie_break_order,
 )
 
 from conftest import (
@@ -102,14 +102,14 @@ class TestModel:
 
     def test_feasible_rules_canonical_order(self):
         inst = make_instance([spec()])
-        keys = [(inst.rule_value[r], r) for r in inst.feasible_rules()]
+        keys = [(inst.rule_value[r], r) for r in inst.feasible_rules]
         assert keys == [("A", "r1"), ("A", "r3"), ("B", "r2")]
         # Declared order, not string order: outcomes first, then rules.
         rules = (RuleRef("r10", "B"), RuleRef("r9", "A"), RuleRef("r2", "B"))
         inst = make_instance([spec()], rules=rules, outcomes=("B", "A"))
-        keys = [(inst.rule_value[r], r) for r in inst.feasible_rules()]
+        keys = [(inst.rule_value[r], r) for r in inst.feasible_rules]
         assert keys == [("B", "r10"), ("B", "r2"), ("A", "r9")]
-        assert [inst.rule_ref(r) for r in inst.feasible_rules()] == [rules[0], rules[2], rules[1]]
+        assert [inst.rule_ref(r) for r in inst.feasible_rules] == [rules[0], rules[2], rules[1]]
         # Outcome order C, A, B differs from rule order; A and r5 are infeasible.
         rules = tuple(RuleRef(f"r{i}", y) for i, y in enumerate("ABCBC", start=1))
         inst = GenericInstance(
@@ -119,9 +119,26 @@ class TestModel:
             feasible_rule_ids=frozenset({"r1", "r2", "r3", "r4"}),
             agents=(spec(Y={"A", "B", "C"}),) * 2,
         )
-        assert inst.feasible_rules() == ["r3", "r2", "r4"]
+        assert inst.feasible_rules == ("r3", "r2", "r4")
         assert max_accept(inst).decision.rule.id == "r3"
         assert max_accept(inst) == oracle_max_accept(inst).report
+
+    def test_feasible_order_is_built_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tie_break_order(*args)
+
+        # adc imports the name, so both bindings are wrapped.
+        monkeypatch.setattr("acceptmax.core.tie_break_order", counted)
+        monkeypatch.setattr("acceptmax.adc.tie_break_order", counted)
+        for build in (lambda: make_instance(THREE_AGENTS), adc_instance):
+            calls.clear()
+            inst = build()
+            assert max_accept(inst) == oracle_max_accept(inst).report
+            assert len(calls) == 1, type(inst)
+            assert type(inst.feasible_rules) is tuple
 
 
 def adc_instance(threshold=2):
@@ -275,7 +292,7 @@ class TestStoredFields:
         frozen = AdcInstance(votes, agents, frozenset({2, 3}))
         assert listed == frozen and hash(listed) == hash(frozen)
         assert type(listed.feasible_thresholds) is frozenset
-        assert listed.feasible_rules() == frozen.feasible_rules() == [3, 2]
+        assert listed.feasible_rules == frozen.feasible_rules == (3, 2)
 
     def test_listed_generic_fields_are_stored_frozen(self):
         rules = [RuleRef("r1", "A"), RuleRef("r2", "B")]
@@ -286,6 +303,24 @@ class TestStoredFields:
         assert listed == frozen and hash(listed) == hash(frozen)
         assert type(listed.outcomes) is type(listed.rules) is type(listed.agents) is tuple
         assert type(listed.feasible_outcomes) is type(listed.feasible_rule_ids) is frozenset
+
+    def test_one_shot_generic_agent_sets_keep_their_elements(self):
+        fields = (("A", "B"), (RuleRef("r1", "A"), RuleRef("r2", "B")), {"A", "B"}, {"r1", "r2"})
+        inst = GenericInstance(*fields, (SatisfyingSpec(iter(["r1"]), iter(["B"])),))
+        assert inst == GenericInstance(*fields, (spec(R={"r1"}, Y={"B"}),))
+        assert max_accept(inst).acceptance_count == 1
+
+    def test_one_shot_adc_agent_sets_keep_their_elements(self):
+        expected = adc_instance()
+        first, _, last = expected.agents
+        inst = AdcInstance(expected.votes, (AdcAgent(iter([2]), iter(["p"])), first, last))
+        assert inst == expected and inst.agents[0] == first
+
+    def test_one_shot_feasible_thresholds_keep_their_elements(self):
+        expected = adc_instance()
+        inst = AdcInstance(expected.votes, expected.agents, iter([2, 3]))
+        assert inst.feasible_thresholds == frozenset({2, 3})
+        assert max_accept(inst) == max_accept(expected) == oracle_max_accept(inst).report
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -360,7 +395,7 @@ class TestOracle:
         assert result.report.acceptance_count == 2
         tally = {(d.rule.id, d.outcome): c for d, c in result.tally}
         assert tally == {("r1", "A"): 2, ("r2", "B"): 2, ("r3", "A"): 1}
-        # Tie-break: first maximizer in feasible_rules() order.
+        # Tie-break: first maximizer in feasible_rules order.
         assert result.report.decision.rule.id == "r1"
 
     def test_single_agent_single_rule(self):
@@ -377,7 +412,6 @@ class TestOracle:
         assert report.accepted_by == {
             i for i, a in enumerate(inst.agents) if accepts(a, report.decision, inst)
         }
-        assert report.acceptance_rate == Fraction(report.acceptance_count, inst.n)
 
 
 class TestSubstitution:
@@ -440,7 +474,7 @@ class TestSubstitution:
                 pairs = substitute_absolute_disjunctivists(inst.agents, values)
                 alone = [substitute_absolute_disjunctivists([a], values) for a in inst.agents]
                 assert [[pair] for pair in pairs] == alone
-                for r in inst.feasible_rules():
+                for r in inst.feasible_rules:
                     d = Decision(RuleRef(r, values[r]), values[r])
                     for (rule_ids, outcomes), agent in zip(pairs, inst.agents):
                         through_pair = d.outcome in outcomes or r in rule_ids
