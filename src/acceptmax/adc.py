@@ -31,6 +31,7 @@ from .core import (
     SatisfyingSpec,
     ValidationError,
     freeze_agents,
+    read_set,
     tie_break_order,
 )
 
@@ -112,7 +113,10 @@ class AdcInstance(FrozenValue):
             feasible = family
         else:
             if type(feasible) is not frozenset:
-                feasible = tuple(feasible)
+                try:
+                    feasible = tuple(feasible)
+                except TypeError:  # not iterable: no family subset either
+                    feasible = ()
             if not feasible or any(type(t) is not int or t not in family for t in feasible):
                 raise ValidationError("feasible thresholds must be a nonempty family subset")
         object.__setattr__(self, "feasible_thresholds", frozenset(feasible))
@@ -122,17 +126,17 @@ class AdcInstance(FrozenValue):
         # like the ints ``2`` and ``1``, so a set test alone lets them in.
         loose = {}
         for idx, (thresholds, outcomes, _, indifferent) in enumerate(self.agents):
-            frozen = type(thresholds) is frozenset and type(outcomes) is frozenset
+            if type(thresholds) is not frozenset or type(outcomes) is not frozenset:
+                # Read once: a one-shot iterable is checked and frozen alike.
+                thresholds, outcomes = loose[idx] = (
+                    read_set(thresholds, "thresholds", idx),
+                    read_set(outcomes, "outcomes", idx),
+                )
             try:
-                if not frozen:
-                    outcomes = tuple(outcomes)  # read once: checked and frozen alike
                 if not outcome_universe.issuperset(outcomes):
                     raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
             except TypeError:
                 raise ValidationError(f"agent {idx} outcomes must be hashable") from None
-            if not frozen:
-                thresholds = tuple(thresholds)
-                loose[idx] = thresholds, outcomes
             for t in thresholds:
                 if type(t) is not int or not 1 <= t <= n:
                     raise ValidationError(

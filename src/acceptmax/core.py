@@ -144,11 +144,25 @@ def agent_type_name(agent) -> str:
     return _TYPE_NAMES[conjunctive, indifferent, bool(rules), bool(outcomes)]
 
 
+def read_set(values, field: str, idx: int | None = None) -> tuple:
+    """``values`` read once into a tuple; if it is not iterable, a ValidationError names
+    ``field``, and agent ``idx`` when given: a location built only on the error path.
+    """
+    try:
+        return tuple(values)
+    except TypeError:
+        where = field if idx is None else f"agent {idx} {field}"
+        raise ValidationError(f"{where} must be iterable, not {type(values).__name__}") from None
+
+
 def _frozen(values, what: str) -> frozenset:
-    """``values`` as a frozenset; an unhashable element raises ValidationError naming ``what``."""
+    """``values`` as a frozenset; if it is not iterable or holds an unhashable element, a
+    ValidationError names ``what`` and says which.
+    """
     try:
         return frozenset(values)
     except TypeError:
+        read_set(values, what)  # says so if ``values`` is not iterable at all
         raise ValidationError(f"{what} must be hashable") from None
 
 
@@ -231,7 +245,10 @@ class GenericInstance(FrozenValue):
             try:
                 if type(rule_ids) is not frozenset or type(outcomes) is not frozenset:
                     # Read once: a one-shot iterable is checked and frozen alike.
-                    rule_ids, outcomes = loose[idx] = tuple(rule_ids), tuple(outcomes)
+                    rule_ids, outcomes = loose[idx] = (
+                        read_set(rule_ids, "rule ids", idx),
+                        read_set(outcomes, "outcomes", idx),
+                    )
                 if not rule_universe.issuperset(rule_ids):
                     raise ValidationError(f"agent {idx} references unknown rule ids")
                 if not outcome_universe.issuperset(outcomes):

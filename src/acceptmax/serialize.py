@@ -345,26 +345,26 @@ def oracle_result_to_dict(result: core.OracleResult, instance) -> dict:
 
 
 def trace_to_dict(trace: amendment.AmendmentTrace, instance) -> dict:
-    from . import amendment
-
+    """The trace's steps, final decision, and whether every step was accepted by all."""
     n = instance.n
+    steps = [
+        {
+            "status_quo": _threshold_fields(s.status_quo, n),
+            "proposal": _threshold_fields(s.proposal, n),
+            "votes": "".join(s.votes),
+            "outcome": _threshold_fields(s.outcome, n),
+            "accepted_by": sorted(s.accepted_by),
+            "universal": len(s.accepted_by) == n,
+        }
+        for s in trace.steps
+    ]
     return {
-        "steps": [
-            {
-                "status_quo": _threshold_fields(s.status_quo, n),
-                "proposal": _threshold_fields(s.proposal, n),
-                "votes": "".join(s.votes),
-                "outcome": _threshold_fields(s.outcome, n),
-                "accepted_by": sorted(s.accepted_by),
-                "universal": len(s.accepted_by) == n,
-            }
-            for s in trace.steps
-        ],
+        "steps": steps,
         "final": {
             "rule": _threshold_fields(trace.final_rule, n),
             "outcome": _threshold_fields(trace.final_outcome, n),
         },
-        "universal": amendment.check_universal_acceptance(trace, instance),
+        "universal": all(step["universal"] for step in steps),
         "n": n,
     }
 

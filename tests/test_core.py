@@ -148,6 +148,16 @@ def adc_instance(threshold=2):
     return AdcInstance(("p", "r", "p"), (first, first, last))
 
 
+# The fields of a valid one-rule generic instance, for tests that replace one.
+ONE_RULE_FIELDS = dict(
+    outcomes=("A", "B"),
+    rules=(RuleRef("r1", "A"),),
+    feasible_outcomes=frozenset({"A"}),
+    feasible_rule_ids=frozenset({"r1"}),
+    agents=(spec(),),
+)
+
+
 # One builder per class that validates its fields, each call a new value; its
 # first argument and the message its rejection of a bad one raises.
 VALIDATED = {
@@ -335,15 +345,8 @@ class TestStoredFields:
         ],
     )
     def test_unhashable_generic_element_is_a_validation_error(self, field, value, message):
-        fields = dict(
-            outcomes=("A", "B"),
-            rules=(RuleRef("r1", "A"),),
-            feasible_outcomes=frozenset({"A"}),
-            feasible_rule_ids=frozenset({"r1"}),
-            agents=(spec(),),
-        )
         with pytest.raises(ValidationError, match=message):
-            GenericInstance(**{**fields, field: value})
+            GenericInstance(**{**ONE_RULE_FIELDS, field: value})
 
     @pytest.mark.parametrize("feasible", [[[2]], [{2}], [2, 2.0], [2, True], []])
     def test_bad_listed_feasible_threshold_is_a_validation_error(self, feasible):
@@ -354,6 +357,40 @@ class TestStoredFields:
     def test_unhashable_adc_agent_outcome_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="^agent 0 outcomes must be hashable$"):
             AdcInstance("ppr", (AdcAgent(frozenset(), [["p"]]),) * 3)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("feasible_outcomes", 5, "^feasible outcomes must be iterable, not int$"),
+            ("feasible_rule_ids", None, "^feasible rules must be iterable, not NoneType$"),
+            (
+                "agents",
+                [SatisfyingSpec(None, frozenset())],
+                "^agent 0 rule ids must be iterable, not NoneType$",
+            ),
+            (
+                "agents",
+                [spec(), SatisfyingSpec(["r1"], 5)],
+                "^agent 1 outcomes must be iterable, not int$",
+            ),
+        ],
+    )
+    def test_generic_set_that_is_not_iterable_is_a_validation_error(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            GenericInstance(**{**ONE_RULE_FIELDS, field: value})
+
+    @pytest.mark.parametrize(
+        "agent, feasible, message",
+        [
+            (AdcAgent(None, {"p"}), None, "^agent 0 thresholds must be iterable, not NoneType$"),
+            (AdcAgent({2}, None), None, "^agent 0 outcomes must be iterable, not NoneType$"),
+            (AdcAgent([2], 5), None, "^agent 0 outcomes must be iterable, not int$"),
+            (AdcAgent({2}, {"p"}), 5, "^feasible thresholds must be a nonempty family subset$"),
+        ],
+    )
+    def test_adc_set_that_is_not_iterable_is_a_validation_error(self, agent, feasible, message):
+        with pytest.raises(ValidationError, match=message):
+            AdcInstance("ppr", (agent,) * 3, feasible)
 
 
 class TestAccepts:
