@@ -32,6 +32,7 @@ from .core import (
     ValidationError,
     freeze_agents,
     read_set,
+    record_error,
     tie_break_order,
 )
 
@@ -93,7 +94,7 @@ class AdcInstance(FrozenValue):
     outcomes = (STATUS_QUO, PROPOSAL)  # not a field: the universe in tie-break order
 
     def __init__(self, votes: tuple, agents: tuple, feasible_thresholds: frozenset | None = None):
-        self.__dict__.update(votes=tuple(votes), agents=tuple(agents))
+        self.__dict__.update(votes=read_set(votes, "votes"), agents=read_set(agents, "agents"))
         n = self.__dict__["n"] = len(self.votes)
         if n == 0:
             raise ValidationError("instance has no votes")
@@ -125,29 +126,34 @@ class AdcInstance(FrozenValue):
         # Types are checked per element: ``2.0`` and ``True`` equal and hash
         # like the ints ``2`` and ``1``, so a set test alone lets them in.
         loose = {}
-        for idx, (thresholds, outcomes, _, indifferent) in enumerate(self.agents):
-            if type(thresholds) is not frozenset or type(outcomes) is not frozenset:
-                # Read once: a one-shot iterable is checked and frozen alike.
-                thresholds, outcomes = loose[idx] = (
-                    read_set(thresholds, "thresholds", idx),
-                    read_set(outcomes, "outcomes", idx),
-                )
-            try:
-                if not outcome_universe.issuperset(outcomes):
-                    raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
-            except TypeError:
-                raise ValidationError(f"agent {idx} outcomes must be hashable") from None
-            for t in thresholds:
-                if type(t) is not int or not 1 <= t <= n:
-                    raise ValidationError(
-                        f"agent {idx} thresholds must be integers in [1, {n}]"
+        try:
+            for idx, (thresholds, outcomes, _, indifferent) in enumerate(self.agents):
+                if type(thresholds) is not frozenset or type(outcomes) is not frozenset:
+                    # Read once: a one-shot iterable is checked and frozen alike.
+                    thresholds, outcomes = loose[idx] = (
+                        read_set(thresholds, "thresholds", idx),
+                        read_set(outcomes, "outcomes", idx),
                     )
-            if not indifferent and not family.issuperset(thresholds):
-                # Sub-majority thresholds only ever matter counterfactually.
-                raise ValidationError(
-                    f"agent {idx} is not implementation-indifferent; "
-                    "thresholds must be feasible-family members"
-                )
+                try:
+                    if not outcome_universe.issuperset(outcomes):
+                        raise ValidationError(f"agent {idx} outcomes outside {{r, p}}")
+                except TypeError:
+                    raise ValidationError(f"agent {idx} outcomes must be hashable") from None
+                for t in thresholds:
+                    if type(t) is not int or not 1 <= t <= n:
+                        raise ValidationError(
+                            f"agent {idx} thresholds must be integers in [1, {n}]"
+                        )
+                if not indifferent and not family.issuperset(thresholds):
+                    # Sub-majority thresholds only ever matter counterfactually.
+                    raise ValidationError(
+                        f"agent {idx} is not implementation-indifferent; "
+                        "thresholds must be feasible-family members"
+                    )
+        except ValidationError:
+            raise
+        except (TypeError, ValueError):  # only the loop's unpacking of a record raises these
+            raise record_error(self.agents, idx) from None
         if loose:
             object.__setattr__(self, "agents", freeze_agents(self.agents, loose, AdcAgent))
 

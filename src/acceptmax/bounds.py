@@ -18,7 +18,7 @@ outcomes some feasible rule actually selects on the profile at hand
 (an outcome no feasible rule can produce admits no feasible decision,
 so acceptability of it alone cannot help any mechanism).
 
-Five exact reductions keep exhaustion tractable; none of them changes
+Six exact reductions keep exhaustion tractable; none of them changes
 the minimum:
  * vote vectors are enumerated up to permutation (acceptance depends on
    the profile only through the proposal's vote count and each agent's
@@ -40,16 +40,23 @@ the minimum:
    upward-closed, so every Pareto-minimal vector comes from an option
    that small; the first option in canonical order for a vector is
    inclusion-minimal (any satisfying sub-option comes earlier), so the
-   kept options are those of the full listing.
+   kept options are those of the full listing,
+ * vote counts whose certified floor cannot beat the best count carried
+   into them are not searched (``_floor``, ``worst_case_rate``): the floor
+   is an averaging bound no instance at the vote count goes below, and the
+   search replaces its best count only with a strictly smaller one.
 
 The options of a type that names absolute thresholds, or no rules, do not
 depend on the vote count: ``shared_options`` lists them once per search,
 ``has_instance`` or ``gen`` call, and ``class_options`` adds each vote
 count's ii representatives and keeps the options the row admits. No
 listing outlives the call that built it. At each vote count an option is
-scored once, as an int mask of the feasible decisions it accepts
-(``_mask_scorer``), and pruned by mask; only the kept options get the 0/1
-vectors the branch and bound reads.
+scored as an int mask of the feasible decisions it accepts
+(``_mask_scorer``), and the masks give the vote count's certified floor
+(``_floor``). Only the vote counts the search reaches are pruned by mask,
+and only their kept options get the 0/1 vectors the branch and bound
+reads; the first vote count at the least floor keeps its masks, and any
+other the search reaches is listed and scored again.
 
 The multisets are searched depth first by branch and bound, proposal
 voters first. A branch carries each feasible decision's acceptance count
@@ -216,11 +223,15 @@ class BoundsReport(NamedTuple):
     n: int
     k: int | None
     observed_min_rate: Fraction | None
+    # L / n for the least certified floor L over vote counts (``_floor``);
+    # None, like ``observed_min_rate``, when no vote count fills.
+    floor_rate: Fraction | None
     formula_rate: Fraction
     witness: AdcInstance | None
     match: bool
-    # Search counters summed over vote counts: agent options listed, options
-    # kept after pruning, branch-and-bound nodes visited.
+    # Search counters: agent options listed at every vote count, and options
+    # kept after pruning and branch-and-bound nodes visited at the vote
+    # counts searched.
     options: int
     kept: int
     nodes: int
@@ -332,15 +343,17 @@ def class_options(class_id: str, n: int, votes_p: int, k: int | None, listing: l
     ]
 
 
-def _listings(class_id: str, n: int, k: int | None):
-    """Per vote count: ``(votes_p, outcome_of, sides, fills)``, from ``class_options`` at the rank.
-
-    The rank-capped ``shared_options`` are listed once, on the first vote
-    count. ``fills`` says whether each side that has voters has an option.
-    The rank cap drops no option Pareto pruning keeps.
-    """
+def _rank_listing(class_id: str, n: int, k: int | None) -> list:
+    """The class's ``shared_options`` at its rank: the cap drops no option Pareto pruning keeps."""
     row = CLASSES[class_id]
-    listing = shared_options(row.agent_types, n, k if row.needs_k else row.rank)
+    return shared_options(row.agent_types, n, k if row.needs_k else row.rank)
+
+
+def _listings(class_id: str, n: int, k: int | None, listing: list):
+    """Per vote count: ``(votes_p, outcome_of, sides, fills)``, from ``class_options`` on ``listing``.
+
+    ``fills`` says whether each side that has voters has an option.
+    """
     for votes_p in range(n + 1):
         outcome_of, sides = class_options(class_id, n, votes_p, k, listing)
         yield votes_p, outcome_of, sides, (votes_p == 0 or sides[0]) and (votes_p == n or sides[1])
@@ -348,7 +361,8 @@ def _listings(class_id: str, n: int, k: int | None):
 
 def has_instance(class_id: str, n: int, k: int | None = None) -> bool:
     """Whether the class holds an instance at ``n``, stopping at the first vote count that fills."""
-    return any(fills for *_, fills in _listings(class_id, n, k))
+    listing = _rank_listing(class_id, n, k)
+    return any(fills for *_, fills in _listings(class_id, n, k, listing))
 
 
 # ---------------------------------------------------------------------------
@@ -460,37 +474,138 @@ def _branch_and_bound(slots, width, best):
     return best, found, nodes
 
 
-def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport:
-    """Exact minimum of the best achievable acceptance rate over an instance class.
+def _scored(n: int, outcome_of: dict, sides) -> dict:
+    """Each option of either side -> its ``_mask_scorer`` mask, each option scored once."""
+    pool = set().union(*sides)
+    return dict(zip(pool, _mask_scorer(n, outcome_of, pool)))
 
-    The best count carries over from one vote count to the next, so the
-    witness is the first minimal multiset at the first vote count that
-    reaches the minimum. Each option of a vote count's ``_listings`` is
-    scored once, and each side keeps its Pareto-minimal options. The
-    report's ``k`` is None for a class that takes none.
+
+def _floor(n: int, votes_p: int, masks_p, masks_r) -> int:
+    """A certified least best count at one vote count, from each side's distinct masks.
+
+    Take a set S of feasible decisions. Every proposal voter accepts at
+    least ``m_P(S)`` decisions of S, the fewest bits of ``mask & S`` over the
+    proposal side's options, and every status-quo voter at least ``m_R(S)``.
+    So the counts over S sum to at least ``votes_p * m_P(S) + (n - votes_p) *
+    m_R(S)``, and every instance at this vote count has a decision of S
+    accepted by at least the ceiling of that sum over ``|S|``. Four sets are
+    tried, each only when non-empty: all decisions, the proposal block
+    (``t <= votes_p``), the status-quo block (``t > votes_p``), and the pair
+    made of each block's smallest threshold. The floor is the best of them.
+
+    The masks come from the rank-capped listing, which is enough: each
+    minimum is attained at an inclusion-minimal class option, since
+    acceptance is monotone in an agent's thresholds and outcomes and the
+    class predicates are upward-closed (module docstring), and the listing
+    holds every inclusion-minimal option. A side without voters is not read.
     """
-    formula = table1_formula(class_id, n, k)
-    if not CLASSES[class_id].needs_k:
-        k = None
-    width = len(threshold_family(n))
-    best, witness = n + 1, None
-    options = kept = nodes = 0
-    for votes_p, outcome_of, sides, fills in _listings(class_id, n, k):
-        pool = set().union(*sides)
-        mask_of = dict(zip(pool, _mask_scorer(n, outcome_of, pool)))
+    low = threshold_family(n).start
+    first_r = max(votes_p + 1, low)  # the smallest status-quo threshold, n + 1 if none
+    everything = (1 << (n - low + 1)) - 1
+    block_r = (1 << (n - first_r + 1)) - 1  # t is bit n - t
+    block_p = everything ^ block_r
+    pair = (1 << (n - low) if block_p else 0) | (1 << (n - first_r) if block_r else 0)
+    floor = 0
+    for s in {everything, block_p, block_r, pair} - {0}:
+        total = 0
+        if votes_p:
+            total += votes_p * min(map(int.bit_count, map(s.__and__, masks_p)))
+        if votes_p < n:
+            total += (n - votes_p) * min(map(int.bit_count, map(s.__and__, masks_r)))
+        floor = max(floor, -(-total // s.bit_count()))
+    return floor
+
+
+def _floors(class_id: str, n: int, k: int | None, listing: list):
+    """Each vote count's floor, the options listed, and the first vote count at the least floor.
+
+    Every vote count is listed and scored once. A vote count that does not
+    fill has no instance and a floor of None. The first vote count at the
+    least floor is held as ``(votes_p, sides, mask_of)`` for the search; the
+    others' listings are dropped, so at most two are alive at once. The held
+    entry is None when no vote count fills.
+    """
+    floors, held, options = [], None, 0
+    for votes_p, outcome_of, sides, fills in _listings(class_id, n, k, listing):
         options += sum(map(len, sides))
+        floor = None
+        if fills:
+            mask_of = _scored(n, outcome_of, sides)
+            floor = _floor(n, votes_p, *(set(map(mask_of.__getitem__, side)) for side in sides))
+            if held is None or floor < floors[held[0]]:
+                held = votes_p, sides, mask_of
+        floors.append(floor)
+    return floors, options, held
+
+
+def _search(class_id: str, n: int, k: int | None, listing: list, floors, held, best: int):
+    """Branch and bound over the vote counts whose floor is below ``best``, ascending.
+
+    The best count carries over from one vote count to the next, and each
+    vote count's floor is read against it when the search reaches it. The
+    held vote count reuses its sides and masks; any other is listed and
+    scored again. Each side keeps its Pareto-minimal options. Returns
+    ``(best, witness, kept, nodes)``; the witness is None when no leaf
+    beats the ``best`` passed in.
+    """
+    width = len(threshold_family(n))
+    witness = None
+    kept = nodes = 0
+    for votes_p, floor in enumerate(floors):
+        if floor is None or floor >= best:
+            continue
+        if votes_p == held[0]:
+            _, sides, mask_of = held
+        else:
+            outcome_of, sides = class_options(class_id, n, votes_p, k, listing)
+            mask_of = _scored(n, outcome_of, sides)
         kept_p, kept_r = (_pareto_kept([(mask_of[a], a) for a in side], width) for side in sides)
         kept += len(kept_p) + len(kept_r)
-        if not fills:
-            continue
         slots = [kept_p] * votes_p + [kept_r] * (n - votes_p)
         best, agents, visited = _branch_and_bound(slots, width, best)
         nodes += visited
         if agents is not None:
             votes = (PROPOSAL,) * votes_p + (STATUS_QUO,) * (n - votes_p)
             witness = AdcInstance(votes, agents)
+    return best, witness, kept, nodes
+
+
+def worst_case_rate(class_id: str, n: int, k: int | None = None) -> BoundsReport:
+    """Exact minimum of the best achievable acceptance rate over an instance class.
+
+    Certify first, search once. Pass 1 (``_floors``) gives each vote count a
+    certified floor (``_floor``); the least of them, L, bounds the minimum
+    from below. Pass 2 starts the branch and bound at ``best = L + 1``, so it
+    searches only the vote counts whose floor is L, from the first. If no
+    leaf reaches L, the same loop runs again from ``n + 1``, skipping only
+    the vote counts whose floor is at least the best count found so far.
+
+    The witness is the one the search of every vote count finds: the first
+    minimal multiset at the first vote count that reaches the minimum. Only
+    a strictly smaller count replaces ``best``, so a vote count whose floor
+    is at least ``best`` can add nothing; the first vote count that reaches
+    the minimum has a floor no greater than it, and its first minimal leaf
+    lies in no branch whose bound is at least ``best``. The report's ``k`` is
+    None for a class that takes none.
+    """
+    formula = table1_formula(class_id, n, k)
+    if not CLASSES[class_id].needs_k:
+        k = None
+    listing = _rank_listing(class_id, n, k)
+    floors, options, held = _floors(class_id, n, k, listing)
+    least = witness = None
+    kept = nodes = 0
+    if held is not None:
+        least = floors[held[0]]
+        best, witness, kept, nodes = _search(class_id, n, k, listing, floors, held, least + 1)
+        if witness is None:
+            best, witness, more_kept, more_nodes = _search(
+                class_id, n, k, listing, floors, held, n + 1
+            )
+            kept, nodes = kept + more_kept, nodes + more_nodes
     observed = None if witness is None else Fraction(best, n)
+    floor_rate = None if least is None else Fraction(least, n)
     match = observed is None or observed == formula
     return BoundsReport(
-        class_id, n, k, observed, formula, witness, match, options, kept, nodes
+        class_id, n, k, observed, floor_rate, formula, witness, match, options, kept, nodes
     )

@@ -155,6 +155,20 @@ def read_set(values, field: str, idx: int | None = None) -> tuple:
         raise ValidationError(f"{where} must be iterable, not {type(values).__name__}") from None
 
 
+def record_error(agents, idx: int) -> ValidationError:
+    """The error for agent ``idx``, which does not unpack into an agent record's four fields.
+
+    Built only on the error path: the constructors unpack each record in
+    their validation loop and call this when the unpacking fails.
+    """
+    agent = agents[idx]
+    try:
+        shape = f"{len(agent)} fields"
+    except TypeError:
+        shape = type(agent).__name__
+    return ValidationError(f"agent {idx} must be a record of 4 fields, not {shape}")
+
+
 def _frozen(values, what: str) -> frozenset:
     """``values`` as a frozenset; if it is not iterable or holds an unhashable element, a
     ValidationError names ``what`` and says which.
@@ -215,11 +229,11 @@ class GenericInstance(FrozenValue):
         agents: tuple,
     ):
         self.__dict__.update(
-            outcomes=tuple(outcomes),
-            rules=tuple(rules),
+            outcomes=read_set(outcomes, "outcomes"),
+            rules=read_set(rules, "rules"),
             feasible_outcomes=_frozen(feasible_outcomes, "feasible outcomes"),
             feasible_rule_ids=_frozen(feasible_rule_ids, "feasible rules"),
-            agents=tuple(agents),
+            agents=read_set(agents, "agents"),
         )
         self.__dict__["n"] = len(self.agents)
         outcome_universe = _frozen(self.outcomes, "outcome ids")
@@ -241,20 +255,25 @@ class GenericInstance(FrozenValue):
         if not self.agents:
             raise ValidationError("instance has no agents")
         loose = {}
-        for idx, (rule_ids, outcomes, _, _) in enumerate(self.agents):
-            try:
-                if type(rule_ids) is not frozenset or type(outcomes) is not frozenset:
-                    # Read once: a one-shot iterable is checked and frozen alike.
-                    rule_ids, outcomes = loose[idx] = (
-                        read_set(rule_ids, "rule ids", idx),
-                        read_set(outcomes, "outcomes", idx),
-                    )
-                if not rule_universe.issuperset(rule_ids):
-                    raise ValidationError(f"agent {idx} references unknown rule ids")
-                if not outcome_universe.issuperset(outcomes):
-                    raise ValidationError(f"agent {idx} references unknown outcomes")
-            except TypeError:
-                raise ValidationError(f"agent {idx} sets must be hashable") from None
+        try:
+            for idx, (rule_ids, outcomes, _, _) in enumerate(self.agents):
+                try:
+                    if type(rule_ids) is not frozenset or type(outcomes) is not frozenset:
+                        # Read once: a one-shot iterable is checked and frozen alike.
+                        rule_ids, outcomes = loose[idx] = (
+                            read_set(rule_ids, "rule ids", idx),
+                            read_set(outcomes, "outcomes", idx),
+                        )
+                    if not rule_universe.issuperset(rule_ids):
+                        raise ValidationError(f"agent {idx} references unknown rule ids")
+                    if not outcome_universe.issuperset(outcomes):
+                        raise ValidationError(f"agent {idx} references unknown outcomes")
+                except TypeError:
+                    raise ValidationError(f"agent {idx} sets must be hashable") from None
+        except ValidationError:
+            raise
+        except (TypeError, ValueError):  # only the loop's unpacking of a record raises these
+            raise record_error(self.agents, idx) from None
         if loose:
             object.__setattr__(self, "agents", freeze_agents(self.agents, loose, SatisfyingSpec))
         values = self.__dict__["rule_value"] = {r.id: r.value_at_profile for r in self.rules}

@@ -386,12 +386,13 @@ def one_step_to_dict(report, instance) -> dict:
 
 
 def bounds_report_to_dict(report) -> dict:
-    observed = report.observed_min_rate
+    observed, floor = report.observed_min_rate, report.floor_rate
     return {
         "class": report.class_id,
         "n": report.n,
         "k": report.k,
         "observed_min_rate": None if observed is None else fraction_to_dict(observed),
+        "floor_rate": None if floor is None else fraction_to_dict(floor),
         "formula_rate": fraction_to_dict(report.formula_rate),
         "witness": None if report.witness is None else adc_instance_to_dict(report.witness),
         "match": report.match,

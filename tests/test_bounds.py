@@ -20,6 +20,7 @@ from acceptmax.adc import (
     threshold_family,
     threshold_outcomes,
 )
+from acceptmax import bounds
 from acceptmax.bounds import (
     CLASSES,
     _branch_and_bound,
@@ -43,6 +44,10 @@ from conftest import (
     majority_count,
     random_adc_instance,
 )
+
+
+# The row fields the certified floor changed or added; the others are as before it.
+COUNTERS = ("kept", "nodes", "floor_rate")
 
 
 def oracle_count(inst):
@@ -229,6 +234,149 @@ def full_space_min(class_id, n, k=None):
     return best
 
 
+def reference_vector(agent, votes_p, decisions):
+    """The agent's 0/1 acceptance of each decision, from the threshold-space reference."""
+    return tuple(int(adc_accepts(agent, t, y, votes_p)) for t, y in decisions)
+
+
+def best_of(vectors):
+    """The best count of agents with these acceptance vectors: the largest column total."""
+    return max(map(sum, zip(*vectors)))
+
+
+def full_space_minima(class_id, n, k=None):
+    """Per vote count, the unreduced exhaustive minimum of the best count, or None.
+
+    Every vote vector and every ordered choice of options, with no rank cap
+    and no representative threshold sets. Each agent ranges over the
+    distinct acceptance vectors of its options: options with equal vectors
+    give every decision the same count.
+    """
+    row, minima = CLASSES[class_id], [None] * (n + 1)
+    decisions = [adc_decisions(votes_p, threshold_family(n)) for votes_p in range(n + 1)]
+    options = full_type_options(row.agent_types, n)
+    for votes in itertools.product(OUTCOMES, repeat=n):
+        votes_p = votes.count(PROPOSAL)
+        outcome_of = threshold_outcomes(n, votes_p)
+        realizable = _realizable(outcome_of)
+        per_agent = [
+            {reference_vector(a, votes_p, decisions[votes_p])
+             for a in options if row.admits(a, v, outcome_of, realizable, k)}
+            for v in votes
+        ]
+        for vectors in itertools.product(*per_agent):
+            count = best_of(vectors)
+            if minima[votes_p] is None or count < minima[votes_p]:
+                minima[votes_p] = count
+    return minima
+
+
+def class_instance_minima(class_id, n, k=None):
+    """Per vote count, the least best count over ``enumerate_instances``'s instances, or None.
+
+    The options are those ``enumerate_instances`` draws from, read through
+    the reference's acceptance vectors. Agents with equal votes are
+    exchangeable and options with equal vectors give equal counts, so each
+    side ranges over multisets of its distinct vectors.
+    """
+    listing = shared_options(CLASSES[class_id].agent_types, n)
+    minima = []
+    for votes_p in range(n + 1):
+        decisions = adc_decisions(votes_p, threshold_family(n))
+        _, sides = class_options(class_id, n, votes_p, k, listing)
+        vectors_p, vectors_r = (
+            sorted({reference_vector(a, votes_p, decisions) for a in side}) for side in sides
+        )
+        least = None
+        for group_p in itertools.combinations_with_replacement(vectors_p, votes_p):
+            for group_r in itertools.combinations_with_replacement(vectors_r, n - votes_p):
+                count = best_of(group_p + group_r)
+                if least is None or count < least:
+                    least = count
+        minima.append(least)
+    return minima
+
+
+def class_rows(sizes, ks=(1, 2)):
+    """Every ``(class_id, n, k)`` at these sizes, each ``k`` a class takes that is in range."""
+    for n in sizes:
+        for class_id in sorted(CLASSES):
+            if not CLASSES[class_id].needs_k:
+                yield class_id, n, None
+                continue
+            yield from ((class_id, n, k) for k in ks if k <= len(threshold_family(n)))
+
+
+def floors_of(class_id, n, k):
+    """The search's certified floor at each vote count, None where the class has no instance."""
+    return bounds._floors(class_id, n, k, bounds._rank_listing(class_id, n, k))[0]
+
+
+class TestCertifiedFloor:
+    @pytest.mark.parametrize("class_id, n, k", list(class_rows((2, 3))))
+    def test_floor_is_sound_against_the_unreduced_space(self, class_id, n, k):
+        # An instance exists at a vote count exactly when the search gives it
+        # a floor, and no instance there has a best count below the floor.
+        minima = full_space_minima(class_id, n, k)
+        floors = floors_of(class_id, n, k)
+        assert [m is None for m in minima] == [f is None for f in floors]
+        for votes_p, (floor, least) in enumerate(zip(floors, minima)):
+            assert floor is None or floor <= least, (votes_p, floor, least)
+
+    # any-none at n = 3 streams 1 794 048 instances, too many to read whole.
+    @pytest.mark.parametrize(
+        "class_id, n, k", [row for row in class_rows((2, 3)) if row[:2] != ("any-none", 3)]
+    )
+    def test_class_instance_minima_read_every_enumerated_instance(self, class_id, n, k):
+        # The multisets of distinct vectors stand for ``enumerate_instances``'s
+        # ordered agents: both give each vote count the same least best count.
+        minima = [None] * (n + 1)
+        for inst in enumerate_instances(class_id, n, k):
+            decisions = adc_decisions(inst.votes_p, threshold_family(n))
+            count = best_of([reference_vector(a, inst.votes_p, decisions) for a in inst.agents])
+            if minima[inst.votes_p] is None or count < minima[inst.votes_p]:
+                minima[inst.votes_p] = count
+        assert class_instance_minima(class_id, n, k) == minima
+
+    @pytest.mark.parametrize("class_id, n, k", list(class_rows((2, 3, 4, 5))))
+    def test_floor_is_sound_against_class_instances(self, class_id, n, k):
+        minima = class_instance_minima(class_id, n, k)
+        floors = floors_of(class_id, n, k)
+        assert [m is None for m in minima] == [f is None for f in floors]
+        for votes_p, (floor, least) in enumerate(zip(floors, minima)):
+            assert floor is None or floor <= least, (votes_p, floor, least)
+
+    def test_floor_reaches_the_minimum_on_every_row(self):
+        # The least floor equals the exact minimum on every row at n = 2..16,
+        # so each row's lower side is certified by the averaging bound and
+        # the search only confirms it.
+        for class_id, n, k in class_rows(range(2, 17)):
+            report = worst_case_rate(class_id, n, k)
+            assert report.floor_rate == report.observed_min_rate, (class_id, n, k)
+
+    @pytest.mark.parametrize("shift", [1, 2, None])
+    def test_a_lower_floor_moves_no_rate_or_witness(self, monkeypatch, shift):
+        # A floor below the minimum leaves the seeded search with no leaf, and
+        # the fallback searches again from n + 1; a floor of 0 everywhere
+        # (None) searches every vote count. The rate and witness stay put.
+        expected = {row: worst_case_rate(*row) for row in class_rows((3, 4, 5, 6))}
+        real = bounds._floor
+
+        def lowered(n, votes_p, masks_p, masks_r):
+            return 0 if shift is None else max(0, real(n, votes_p, masks_p, masks_r) - shift)
+
+        monkeypatch.setattr(bounds, "_floor", lowered)
+        for row, report in expected.items():
+            lower = worst_case_rate(*row)
+            assert (lower.observed_min_rate, lower.witness) == (
+                report.observed_min_rate,
+                report.witness,
+            ), row
+            assert lower.floor_rate <= report.floor_rate
+            assert lower.options == report.options
+            assert lower.kept >= report.kept and lower.nodes >= report.nodes
+
+
 class TestReductionsAreExact:
     @pytest.mark.parametrize(
         "class_id", ["conseq-y1", "conseq-consistent", "ii-disj-r1", "ii-disj-y1"]
@@ -292,51 +440,64 @@ class TestExhaustive:
         report = worst_case_rate("ii-disj-last", 2)
         assert (report.observed_min_rate, report.witness) == (None, None)
         assert (report.options, report.kept, report.nodes) == (0, 0, 0)
-        assert report.match and report.formula_rate == 1
+        assert report.match and report.formula_rate == 1 and report.floor_rate is None
         row = bounds_report_to_dict(report)
         assert row["observed_min_rate"] is None and row["witness"] is None
+        assert row["floor_rate"] is None
 
     def test_search_counters(self):
         report = worst_case_rate("abs-disj-r1", 5)
         # `options` counts the options listed under the rank cap: 12 per side
-        # and vote count, where the full listing has 28.
-        assert (report.options, report.kept, report.nodes) == (144, 36, 27)
+        # and vote count, where the full listing has 28. `kept` and `nodes`
+        # count only the vote counts searched: one of the six.
+        assert (report.options, report.kept, report.nodes) == (144, 6, 14)
 
     def test_witnesses_are_stable(self):
-        # One digest over every whole row of `bounds all --n 3 ... --n 8 --k 2`:
-        # rates, match, the search counters and the witness the multiset
-        # product found. The second digest leaves out `options`, which the
-        # rank cap changed; it was recorded over the full listing, so the
-        # cap moved no rate, witness, `kept` or `nodes`. Both were recorded
-        # again when rule-less absolute agents got their own type names, a
-        # change that moved no other field.
+        # Digests over every whole row of `bounds all --n 3 ... --n 8 --k 2`.
+        # The first leaves out the search counters `kept` and `nodes` and the
+        # `floor_rate`: it was recorded before the certified floor seeded the
+        # search, so the floor moved no rate, witness or `options`. The others
+        # were recorded again with the floor: the second leaves out
+        # `options`, which the rank cap changed, and the third covers the
+        # whole row.
+        counter_free = hashlib.sha256()
         digest, without_options = hashlib.sha256(), hashlib.sha256()
         for class_id in sorted(CLASSES):
             k = 2 if CLASSES[class_id].needs_k else None
             for n in range(3, 9):
                 row = bounds_report_to_dict(worst_case_rate(class_id, n, k=k))
                 digest.update(dumps(row).encode() + b"\n")
+                free = {key: row[key] for key in row if key not in COUNTERS}
+                counter_free.update(dumps(free).encode() + b"\n")
                 del row["options"]
                 without_options.update(dumps(row).encode() + b"\n")
+        assert counter_free.hexdigest() == (
+            "37813aaa4c0b3431a1c13e9e44afe4a2da9cb2931402ebae68c452b6283d0062"
+        )
         assert without_options.hexdigest() == (
-            "bf869e87f24d0ff91253855952b554e18973aaf3ff468260898c26161db0871b"
+            "b4c79d8d7abeb42406c5537f33405d57fb11349d30061822cffcd499d1f1b487"
         )
         assert digest.hexdigest() == (
-            "50995c9016c6f66c9023b6acd557251d4b059e36ba22c2e3b3872544b8539725"
+            "71a6155ef56b957130f2cad398065cd0736eb67b9b9c747004a994fbabc38105"
         )
 
-
     def test_abs_disj_k_row_at_n24_is_pinned(self):
-        # The whole serialized row of `bounds abs-disj-k --k 2 --n 24`,
-        # recorded before options were scored and pruned as int masks.
+        # The whole serialized row of `bounds abs-disj-k --k 2 --n 24`. The
+        # row without `kept`, `nodes` and `floor_rate` was recorded before the
+        # certified floor seeded the search; the counters and the whole row
+        # were recorded with it.
         row = bounds_report_to_dict(worst_case_rate("abs-disj-k", 24, k=2))
-        assert (row["options"], row["kept"], row["nodes"]) == (13200, 3300, 8628)
+        assert (row["options"], row["kept"], row["nodes"]) == (13200, 132, 710)
         assert row["witness"]["votes"] == "r" * 24
         assert [agent["R_t"] for agent in row["witness"]["agents"]] == [
             [t, t + 1] for t in range(13, 24, 2) for _ in range(4)
         ]
         assert hashlib.sha256(dumps(row).encode()).hexdigest() == (
-            "e1e8b798c06cf3f63dcbdb568c9d297c176b756e3d56e23a9210ac71218407a6"
+            "cf650b2b574843019b49054c90b3b4a42cf79ba6f6c85609296cb5dd0f559a0e"
+        )
+        counter_free = {key: row[key] for key in row if key not in COUNTERS}
+        assert hashlib.sha256(dumps(counter_free).encode()).hexdigest() == (
+            "09f44486ae6ace8ab1c9651ec597d96078b6dea85e9aafe1e009dfdbff2f5890"
         )
 
     def test_search_leaves_no_cycles(self):

@@ -380,6 +380,48 @@ class TestStoredFields:
             GenericInstance(**{**ONE_RULE_FIELDS, field: value})
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("outcomes", 5, "^outcomes must be iterable, not int$"),
+            ("rules", 5, "^rules must be iterable, not int$"),
+            ("agents", 5, "^agents must be iterable, not int$"),
+            ("agents", [None], "^agent 0 must be a record of 4 fields, not NoneType$"),
+            ("agents", [spec(), None], "^agent 1 must be a record of 4 fields, not NoneType$"),
+            (
+                "agents",
+                [(frozenset(), frozenset())],
+                "^agent 0 must be a record of 4 fields, not 2 fields$",
+            ),
+            ("agents", [spec() + (True,)], "^agent 0 must be a record of 4 fields, not 5 fields$"),
+        ],
+    )
+    def test_generic_field_of_the_wrong_shape_is_a_validation_error(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            GenericInstance(**{**ONE_RULE_FIELDS, field: value})
+
+    @pytest.mark.parametrize(
+        "votes, agents, message",
+        [
+            (5, (), "^votes must be iterable, not int$"),
+            ("ppr", 5, "^agents must be iterable, not int$"),
+            ("ppr", (None,) * 3, "^agent 0 must be a record of 4 fields, not NoneType$"),
+            (
+                "ppr",
+                adc_instance().agents[:2] + (None,),
+                "^agent 2 must be a record of 4 fields, not NoneType$",
+            ),
+            (
+                "ppr",
+                adc_instance().agents[:1] + ((frozenset({2}), frozenset(), False),) * 2,
+                "^agent 1 must be a record of 4 fields, not 3 fields$",
+            ),
+        ],
+    )
+    def test_adc_field_of_the_wrong_shape_is_a_validation_error(self, votes, agents, message):
+        with pytest.raises(ValidationError, match=message):
+            AdcInstance(votes, agents)
+
+    @pytest.mark.parametrize(
         "agent, feasible, message",
         [
             (AdcAgent(None, {"p"}), None, "^agent 0 thresholds must be iterable, not NoneType$"),
